@@ -265,20 +265,3 @@ def test_multi_collection_reduces_traffic(matrix):
             cells["multi"].engine.bytes_transferred
             < cells["array"].engine.bytes_transferred
         ), wl_name
-
-
-def test_dict_and_array_cells_agree(matrix):
-    """The two counter stores are the same filter semantically: every
-    accuracy number in the matrix must match bit-for-bit."""
-    for wl_name, cells in matrix.items():
-        dict_summary = cells["dict"].summary
-        array_summary = cells["array"].summary
-        assert (
-            dict_summary.num_false_injections
-            == array_summary.num_false_injections
-        ), wl_name
-        assert dict_summary.num_injections == array_summary.num_injections
-        assert (
-            cells["dict"].engine.bytes_transferred
-            == cells["array"].engine.bytes_transferred
-        ), wl_name

@@ -1,30 +1,25 @@
-"""Out-of-core scaling benchmark: trace backends × execution modes.
+"""Out-of-core scaling benchmark: contact stores × execution modes.
 
-Measures passive replay of a city-style synthetic dataset under every
-trace backend ({object, columnar, mmap}) crossed with serial vs sharded
-execution, and persists wall-clock and peak-RSS curves to
+Measures passive replay of a city-style synthetic dataset from both
+contact stores — the dataset memory-mapped as opened (``mmap``), and
+the same columns copied into RAM (``columnar``) — crossed with serial
+vs sharded execution, and persists wall-clock and peak-RSS curves to
 ``benchmarks/results/BENCH_scale.json``.
 
 Every cell runs in a **fresh subprocess** so its peak RSS is its own:
 the child samples ``RssAnon`` from ``/proc/self/status`` on a
-background thread (anonymous memory — the number that grows when a
-backend materialises the trace; an mmap replay's file-backed pages are
+background thread (anonymous memory — the number that grows when the
+trace is held in RAM; an mmap replay's file-backed pages are
 reclaimable cache and deliberately excluded) and reports ``VmHWM``
 (total peak resident, file-backed included) alongside for transparency.
 Each child also fingerprints its :class:`SimulationReport`, and the
-parent asserts every (backend, execution) cell of a dataset produced
+parent asserts every (store, execution) cell of a dataset produced
 the *identical* report — sharding and storage are observationally
 inert.
 
-Honesty notes baked into the output document:
-
-* ``env.cpu_count`` is recorded; on a single-core machine the sharded
-  cells exercise the shard/merge machinery but cannot show parallel
-  speedup, so the wall-clock headline compares against the ``object``
-  baseline there instead of ``columnar``.
-* Backends are skipped (and logged) above their practical size:
-  ``object`` materialises a Python object per contact and is capped at
-  ``OBJECT_MAX_CONTACTS``.
+``env.cpu_count`` is recorded: on a single-core machine the sharded
+cells exercise the shard/merge machinery but cannot show parallel
+speedup.
 
 Run as a script::
 
@@ -53,15 +48,9 @@ from typing import Dict, List, Optional
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_scale.json"
 
-#: Replay-speedup floor at the largest cell (fast path vs baseline).
-REQUIRED_SPEEDUP = 3.0
 #: Peak-RssAnon floor: columnar replay over mmap replay at the largest
-#: cell both complete (mmap keeps the trace out of anonymous memory).
+#: cell (mmap keeps the trace out of anonymous memory).
 REQUIRED_MEMORY_RATIO = 3.0
-
-#: ``object`` builds a Python object per contact (~hundreds of bytes
-#: each); above this it is skipped and the skip is logged.
-OBJECT_MAX_CONTACTS = 3_000_000
 
 #: (label, target contacts, nodes, communities)
 SMOKE_CELLS = [("300k", 300_000, 5_000, 50)]
@@ -74,7 +63,7 @@ CITY_CELL = ("100M", 100_000_000, 1_000_000, 20_000)
 SHARDS = 4
 
 
-# -- child process: one (backend, shards) replay --------------------------
+# -- child process: one (store, shards) replay ----------------------------
 
 
 def _proc_status_kb(field: str) -> Optional[int]:
@@ -131,13 +120,22 @@ def _fingerprint(report) -> Dict:
 
 def _child_main(spec_json: str) -> int:
     spec = json.loads(spec_json)
+    import numpy as np
+
     from repro.dtn import PassiveProtocol, Simulation
     from repro.dtn.bandwidth import BLUETOOTH_EFFECTIVE_BPS
-    from repro.traces import open_trace_dataset
+    from repro.traces import ContactTrace, open_trace_dataset
 
     with _RssSampler() as sampler:
         t0 = time.perf_counter()
-        trace = open_trace_dataset(spec["dataset"], backend=spec["backend"])
+        trace = open_trace_dataset(spec["dataset"])
+        if spec["store"] == "columnar":
+            # The same rows held in RAM: an in-memory columnar trace.
+            columns = [np.array(c) for c in trace.store.columns()]
+            trace = ContactTrace.from_arrays(
+                *columns, nodes=trace.nodes, name=trace.name,
+                validate=False, assume_sorted=True,
+            )
         t1 = time.perf_counter()
         report = Simulation(
             trace,
@@ -160,8 +158,8 @@ def _child_main(spec_json: str) -> int:
 # -- parent: grid orchestration -------------------------------------------
 
 
-def _run_child(dataset: str, backend: str, shards: Optional[int]) -> Dict:
-    spec = {"dataset": dataset, "backend": backend, "shards": shards}
+def _run_child(dataset: str, store: str, shards: Optional[int]) -> Dict:
+    spec = {"dataset": dataset, "store": store, "shards": shards}
     proc = subprocess.run(
         [sys.executable, __file__, "--child", json.dumps(spec)],
         capture_output=True,
@@ -170,7 +168,7 @@ def _run_child(dataset: str, backend: str, shards: Optional[int]) -> Dict:
     )
     if proc.returncode != 0:
         raise RuntimeError(
-            f"child {backend}/shards={shards} failed:\n{proc.stderr}"
+            f"child {store}/shards={shards} failed:\n{proc.stderr}"
         )
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -216,21 +214,14 @@ def run_cell(
         "num_contacts": dataset["num_contacts"],
         "num_nodes": nodes,
         "generate_s": dataset["generate_s"],
-        "skipped": [],
         "runs": {},
     }
     fingerprints = {}
-    for backend in ("object", "columnar", "mmap"):
-        if backend == "object" and dataset["num_contacts"] > OBJECT_MAX_CONTACTS:
-            cell["skipped"].append(
-                f"object backend skipped above {OBJECT_MAX_CONTACTS} contacts"
-            )
-            log(f"  [{label}] backend=object SKIPPED (too large)")
-            continue
+    for store in ("columnar", "mmap"):
         for mode, shards in (("serial", None), ("sharded", SHARDS)):
-            key = f"{backend}-{mode}"
+            key = f"{store}-{mode}"
             log(f"  [{label}] {key} ...")
-            measured = _run_child(dataset["path"], backend, shards)
+            measured = _run_child(dataset["path"], store, shards)
             fingerprints[key] = measured.pop("fingerprint")
             cell["runs"][key] = measured
             log(
@@ -246,13 +237,6 @@ def run_cell(
             )
     cell["report_fingerprint"] = reference
     runs = cell["runs"]
-    baseline_key = (
-        "object-serial" if "object-serial" in runs else "columnar-serial"
-    )
-    cell["baseline"] = baseline_key
-    cell["speedup_replay_vs_baseline"] = (
-        runs[baseline_key]["replay_s"] / runs["mmap-sharded"]["replay_s"]
-    )
     cell["speedup_sharded_mmap_vs_serial_columnar"] = (
         runs["columnar-serial"]["replay_s"] / runs["mmap-sharded"]["replay_s"]
     )
@@ -282,7 +266,6 @@ def run_benchmark(
 
     document = {
         "mode": "smoke" if smoke else ("city" if city else "full"),
-        "required_speedup_replay": REQUIRED_SPEEDUP,
         "required_rss_anon_ratio": REQUIRED_MEMORY_RATIO,
         "env": {
             "cpu_count": os.cpu_count(),
@@ -290,18 +273,17 @@ def run_benchmark(
             "numpy": numpy.__version__,
         },
         "notes": {
-            "isolation": "every (backend, execution) cell is a fresh "
+            "isolation": "every (store, execution) cell is a fresh "
                          "subprocess; RSS numbers are per-cell",
             "memory": "peak_rss_anon_kb is max RssAnon sampled from "
                       "/proc/self/status (anonymous memory only — mmap "
                       "file-backed pages are reclaimable and excluded); "
                       "vm_hwm_kb is the total peak resident for "
                       "transparency",
-            "speedup": "speedup_replay_vs_baseline divides the serial "
-                       "baseline backend's replay by the sharded-mmap "
+            "speedup": "speedup_sharded_mmap_vs_serial_columnar divides "
+                       "the serial in-RAM replay by the sharded-mmap "
                        "replay; on single-core machines sharded cells "
-                       "cannot show parallel speedup and the baseline "
-                       "is the object backend where it ran",
+                       "cannot show parallel speedup",
             "replay": "PassiveProtocol (engine accounting only) at "
                       "Bluetooth effective bandwidth",
         },
@@ -318,38 +300,16 @@ def run_benchmark(
 
 
 def _headline(cells: List[Dict]) -> Dict:
-    """Headline numbers, each read at the largest cell that supports it.
-
-    The speedup claim needs the legacy ``object`` baseline, which is
-    skipped on huge cells, so it is taken from the largest cell where
-    object actually ran; the memory claim compares columnar vs mmap and
-    is taken from the largest cell with both.  The largest cell's own
-    columnar-vs-mmap wall-clock is recorded alongside for transparency.
-    """
-    speed = next(
-        (c for c in reversed(cells) if c["baseline"] == "object-serial"),
-        cells[-1],
-    )
-    memory = next(
-        (
-            c for c in reversed(cells)
-            if "columnar-serial" in c["runs"] and "mmap-sharded" in c["runs"]
-        ),
-        cells[-1],
-    )
+    """Headline numbers, read at the largest cell."""
     largest = cells[-1]
     return {
-        "speedup_cell": speed["label"],
-        "speedup_baseline": speed["baseline"],
-        "speedup_replay_vs_baseline": speed["speedup_replay_vs_baseline"],
-        "memory_cell": memory["label"],
-        "rss_anon_ratio_columnar_over_mmap":
-            memory["rss_anon_ratio_columnar_over_mmap"],
-        "mmap_sharded_peak_rss_anon_kb":
-            memory["runs"]["mmap-sharded"]["peak_rss_anon_kb"],
         "largest_cell": largest["label"],
         "largest_num_contacts": largest["num_contacts"],
-        "largest_speedup_sharded_mmap_vs_serial_columnar":
+        "rss_anon_ratio_columnar_over_mmap":
+            largest["rss_anon_ratio_columnar_over_mmap"],
+        "mmap_sharded_peak_rss_anon_kb":
+            largest["runs"]["mmap-sharded"]["peak_rss_anon_kb"],
+        "speedup_sharded_mmap_vs_serial_columnar":
             largest["speedup_sharded_mmap_vs_serial_columnar"],
     }
 
@@ -357,22 +317,14 @@ def _headline(cells: List[Dict]) -> Dict:
 def check_thresholds(document: Dict) -> List[str]:
     """Threshold failures for a non-smoke document ([] = pass)."""
     headline = document["headline"]
-    failures = []
-    if headline["speedup_replay_vs_baseline"] < document["required_speedup_replay"]:
-        failures.append(
-            f"replay speedup {headline['speedup_replay_vs_baseline']:.2f}x "
-            f"(sharded-mmap vs {headline['speedup_baseline']} at "
-            f"{headline['speedup_cell']}) "
-            f"< required {document['required_speedup_replay']}x"
-        )
     ratio = headline["rss_anon_ratio_columnar_over_mmap"]
     if ratio < document["required_rss_anon_ratio"]:
-        failures.append(
+        return [
             f"peak-RssAnon ratio (columnar/mmap) {ratio:.2f}x "
-            f"at {headline['memory_cell']} "
+            f"at {headline['largest_cell']} "
             f"< required {document['required_rss_anon_ratio']}x"
-        )
-    return failures
+        ]
+    return []
 
 
 # -- pytest entry point (smoke cell only) ---------------------------------
@@ -416,14 +368,13 @@ def main(argv=None) -> int:
             return 1
     headline = document["headline"]
     print(
-        f"headline: {headline['speedup_replay_vs_baseline']:.2f}x replay "
-        f"vs {headline['speedup_baseline']} at "
-        f"{headline['speedup_cell']}; "
+        f"headline [{headline['largest_cell']}]: "
         f"{headline['rss_anon_ratio_columnar_over_mmap']:.2f}x lower "
-        f"anonymous peak RSS (mmap vs columnar) at "
-        f"{headline['memory_cell']}, mmap-sharded peak "
+        f"anonymous peak RSS (mmap vs columnar), mmap-sharded peak "
         f"{headline['mmap_sharded_peak_rss_anon_kb'] / 1024:.0f}MB at "
-        f"{headline['largest_num_contacts']} contacts"
+        f"{headline['largest_num_contacts']} contacts, "
+        f"{headline['speedup_sharded_mmap_vs_serial_columnar']:.2f}x replay "
+        f"(sharded mmap vs serial columnar)"
     )
     return 0
 

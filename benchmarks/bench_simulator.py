@@ -1,24 +1,24 @@
-"""Simulator scaling benchmark: columnar vs object trace backends.
+"""Simulator scaling benchmark: build + replay cost from 10k to 1M contacts.
 
 Measures the end-to-end cost (synthetic trace build + engine replay)
-of a node/contact scaling curve from 10k to 1M contacts under both
-trace backends, and persists the measurements to
-``benchmarks/results/BENCH_sim.json`` so regressions are mechanically
-checkable.
+of a node/contact scaling curve from 10k to 1M contacts, and persists
+the measurements to ``benchmarks/results/BENCH_sim.json`` so
+regressions are mechanically checkable.  Traces built in memory are
+columnar, so that is the store every cell times.
 
 Two separate passes per cell:
 
 * **timing pass** — wall-clock, with tracemalloc *off* (tracing hooks
-  every allocation and would inflate the object backend's numbers by
-  5–10x, unfairly flattering the columnar backend);
+  every allocation and would inflate the numbers 5–10x);
 * **memory pass** — tracemalloc, with the peak reset between the build
   and replay phases.  The headline memory number is the replay-phase
   peak *with the trace resident* — the steady-state working set of a
   replay — recorded alongside the build-phase peak for transparency.
 
 Replay uses :class:`repro.dtn.PassiveProtocol` (pure engine
-accounting), so the curve measures the engine, not protocol logic; a
-per-cell equivalence check asserts both backends produce the same
+accounting), so the curve measures the engine, not protocol logic.  A
+per-cell equivalence check saves the trace as a dataset, replays the
+memory-mapped twin, and asserts both produce the same
 :class:`SimulationReport`.
 
 Run as a script::
@@ -37,20 +37,22 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.dtn import PassiveProtocol, Simulation
-from repro.traces import FLAT_PROFILE, SyntheticTraceConfig, generate_trace
-from repro.traces.backends import TRACE_BACKEND_ENV_VAR, TRACE_BACKENDS
+from repro.traces import (
+    FLAT_PROFILE,
+    SyntheticTraceConfig,
+    generate_trace,
+    open_trace_dataset,
+    save_trace_dataset,
+)
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_sim.json"
-
-#: The headline acceptance thresholds at the largest cell.
-REQUIRED_SPEEDUP = 4.0
-REQUIRED_MEMORY_RATIO = 4.0
 
 #: (label, target contacts, nodes) — the node count grows with the
 #: contact count so the curve exercises both axes.  Targets are
@@ -80,18 +82,6 @@ def _bench_config(target_contacts: int, num_nodes: int) -> SyntheticTraceConfig:
     )
 
 
-def _build(config: SyntheticTraceConfig, backend: str):
-    previous = os.environ.get(TRACE_BACKEND_ENV_VAR)
-    os.environ[TRACE_BACKEND_ENV_VAR] = backend
-    try:
-        return generate_trace(config)
-    finally:
-        if previous is None:
-            os.environ.pop(TRACE_BACKEND_ENV_VAR, None)
-        else:
-            os.environ[TRACE_BACKEND_ENV_VAR] = previous
-
-
 def _replay(trace):
     return Simulation(trace, PassiveProtocol()).run()
 
@@ -107,53 +97,11 @@ def _report_fingerprint(report) -> tuple:
     )
 
 
-def _measure_backend(
-    config: SyntheticTraceConfig, backend: str, measure_memory: bool,
-    timing_rounds: int = 1,
-):
-    """One backend, one cell: timing pass, then optional memory pass.
-
-    Small cells are timed over several rounds (best-of, the standard
-    estimator for minimum achievable cost) because their absolute times
-    sit close to scheduler noise.
-    """
-    best_build = best_replay = best_e2e = None
-    trace = report = None
-    for _ in range(max(1, timing_rounds)):
-        del trace, report
-        t0 = time.perf_counter()
-        trace = _build(config, backend)
-        t1 = time.perf_counter()
-        report = _replay(trace)
-        t2 = time.perf_counter()
-        if best_e2e is None or t2 - t0 < best_e2e:
-            best_build, best_replay, best_e2e = t1 - t0, t2 - t1, t2 - t0
-    result = {
-        "num_contacts": trace.num_contacts,
-        "num_nodes": trace.num_nodes,
-        "build_s": best_build,
-        "replay_s": best_replay,
-        "end_to_end_s": best_e2e,
-    }
-    fingerprint = _report_fingerprint(report)
-    del trace, report
-
-    if measure_memory:
-        tracemalloc.start()
-        try:
-            base_current, _ = tracemalloc.get_traced_memory()
-            trace = _build(config, backend)
-            built_current, build_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            _replay(trace)
-            _, replay_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        result["trace_resident_bytes"] = built_current - base_current
-        result["build_peak_bytes"] = build_peak - base_current
-        result["replay_peak_bytes"] = replay_peak - base_current
-        del trace
-    return result, fingerprint
+def _mmap_twin_fingerprint(trace) -> tuple:
+    """Replay *trace* from a saved dataset (memory-mapped) instead."""
+    with tempfile.TemporaryDirectory(prefix="bench-sim-") as tmp:
+        twin = open_trace_dataset(save_trace_dataset(trace, tmp))
+        return _report_fingerprint(_replay(twin))
 
 
 def run_cell(
@@ -163,47 +111,64 @@ def run_cell(
     measure_memory: bool = True,
     log=print,
 ) -> Dict:
-    """Measure one scaling cell under every trace backend."""
+    """Measure one scaling cell: timing pass, then optional memory pass.
+
+    Small cells are timed over several rounds (best-of, the standard
+    estimator for minimum achievable cost) because their absolute times
+    sit close to scheduler noise.
+    """
     config = _bench_config(target_contacts, num_nodes)
+    timing_rounds = 3 if target_contacts < 500_000 else 1
+    best_build = best_replay = best_e2e = None
+    trace = report = None
+    log(f"  [{label}] timing ...")
+    for _ in range(timing_rounds):
+        del trace, report
+        t0 = time.perf_counter()
+        trace = generate_trace(config)
+        t1 = time.perf_counter()
+        report = _replay(trace)
+        t2 = time.perf_counter()
+        if best_e2e is None or t2 - t0 < best_e2e:
+            best_build, best_replay, best_e2e = t1 - t0, t2 - t1, t2 - t0
     cell: Dict = {
         "label": label,
         "target_contacts": target_contacts,
-        "num_nodes": num_nodes,
-        "backends": {},
+        "num_nodes": trace.num_nodes,
+        "num_contacts": trace.num_contacts,
+        "build_s": best_build,
+        "replay_s": best_replay,
+        "end_to_end_s": best_e2e,
+        "replay_contacts_per_s": trace.num_contacts / best_replay,
     }
-    timing_rounds = 3 if target_contacts < 500_000 else 1
-    fingerprints = {}
-    for backend in TRACE_BACKENDS:
-        log(f"  [{label}] backend={backend} ...")
-        measured, fingerprint = _measure_backend(
-            config, backend, measure_memory, timing_rounds=timing_rounds
+    if _mmap_twin_fingerprint(trace) != _report_fingerprint(report):
+        raise AssertionError(
+            f"cell {label}: the mmap dataset twin disagrees with the "
+            f"in-memory trace on the simulation report"
         )
-        cell["backends"][backend] = measured
-        fingerprints[backend] = fingerprint
-    for backend, fingerprint in fingerprints.items():
-        if fingerprint != fingerprints["object"]:
-            raise AssertionError(
-                f"cell {label}: {backend} disagrees with object on the "
-                f"simulation report"
-            )
-    obj = cell["backends"]["object"]
-    col = cell["backends"]["columnar"]
-    cell["speedup_end_to_end"] = obj["end_to_end_s"] / col["end_to_end_s"]
-    cell["speedup_replay"] = obj["replay_s"] / col["replay_s"]
+    del trace, report
+
     if measure_memory:
-        cell["replay_peak_ratio"] = (
-            obj["replay_peak_bytes"] / col["replay_peak_bytes"]
-        )
-        cell["trace_resident_ratio"] = (
-            obj["trace_resident_bytes"] / col["trace_resident_bytes"]
-        )
+        tracemalloc.start()
+        try:
+            base_current, _ = tracemalloc.get_traced_memory()
+            trace = generate_trace(config)
+            built_current, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _replay(trace)
+            _, replay_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cell["trace_resident_bytes"] = built_current - base_current
+        cell["build_peak_bytes"] = build_peak - base_current
+        cell["replay_peak_bytes"] = replay_peak - base_current
+        del trace
     log(
-        f"  [{label}] contacts={obj['num_contacts']} "
-        f"e2e object={obj['end_to_end_s']:.3f}s "
-        f"columnar={col['end_to_end_s']:.3f}s "
-        f"speedup={cell['speedup_end_to_end']:.2f}x"
+        f"  [{label}] contacts={cell['num_contacts']} "
+        f"e2e={cell['end_to_end_s']:.3f}s "
+        f"replay={cell['replay_contacts_per_s']:,.0f} contacts/s"
         + (
-            f" replay-peak ratio={cell['replay_peak_ratio']:.2f}x"
+            f" replay-peak={cell['replay_peak_bytes'] / 1e6:.1f} MB"
             if measure_memory
             else ""
         )
@@ -222,8 +187,7 @@ def run_benchmark(
         cells.append(run_cell(label, contacts, nodes, log=log))
     document = {
         "mode": "smoke" if smoke else "full",
-        "required_speedup_end_to_end": REQUIRED_SPEEDUP,
-        "required_replay_peak_ratio": REQUIRED_MEMORY_RATIO,
+        "host": {"cpu_count": os.cpu_count()},
         "notes": {
             "timing": "wall-clock seconds, tracemalloc off",
             "memory": (
@@ -231,14 +195,18 @@ def run_benchmark(
                 "replay with the trace resident (steady-state working set)"
             ),
             "replay": "PassiveProtocol (engine accounting only)",
+            "equivalence": (
+                "each cell's report matches its mmap dataset twin's"
+            ),
         },
         "cells": cells,
     }
     headline = cells[-1]
     document["headline"] = {
         "cell": headline["label"],
-        "speedup_end_to_end": headline["speedup_end_to_end"],
-        "replay_peak_ratio": headline.get("replay_peak_ratio"),
+        "end_to_end_s": headline["end_to_end_s"],
+        "replay_contacts_per_s": headline["replay_contacts_per_s"],
+        "replay_peak_bytes": headline.get("replay_peak_bytes"),
     }
     if out_path is not None:
         out_path.parent.mkdir(exist_ok=True)
@@ -247,43 +215,21 @@ def run_benchmark(
     return document
 
 
-def check_thresholds(document: Dict) -> List[str]:
-    """Threshold failures for a *full* benchmark document ([] = pass)."""
-    headline = document["headline"]
-    failures = []
-    if headline["speedup_end_to_end"] < document["required_speedup_end_to_end"]:
-        failures.append(
-            f"end-to-end speedup {headline['speedup_end_to_end']:.2f}x "
-            f"< required {document['required_speedup_end_to_end']}x"
-        )
-    ratio = headline.get("replay_peak_ratio")
-    if ratio is not None and ratio < document["required_replay_peak_ratio"]:
-        failures.append(
-            f"replay peak-memory ratio {ratio:.2f}x "
-            f"< required {document['required_replay_peak_ratio']}x"
-        )
-    return failures
-
-
-# -- pytest entry point (smoke cell only; asserts backend equivalence) ----
+# -- pytest entry point (smoke cell only; asserts mmap-twin equivalence) --
 
 
 def test_bench_simulator_smoke():
     document = run_benchmark(smoke=True, out_path=None)
     cell = document["cells"][0]
-    assert cell["backends"]["object"]["num_contacts"] > 0
-    # At smoke scale the end-to-end time is dominated by the shared
-    # generation arithmetic, so only the backend-sensitive phases are
-    # asserted; the 4x thresholds are enforced on the full 1M run.
-    assert cell["speedup_replay"] > 1.0
-    assert cell["replay_peak_ratio"] > 1.0
+    assert cell["num_contacts"] > 0
+    assert cell["replay_peak_bytes"] > 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="quick mode: smallest cell only, no threshold enforcement",
+        help="quick mode: smallest cell only",
     )
     parser.add_argument(
         "--out", type=Path, default=RESULTS_PATH,
@@ -291,17 +237,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     document = run_benchmark(smoke=args.smoke, out_path=args.out)
-    if not args.smoke:
-        failures = check_thresholds(document)
-        for failure in failures:
-            print(f"THRESHOLD FAILURE: {failure}", file=sys.stderr)
-        if failures:
-            return 1
     headline = document["headline"]
     print(
         f"headline [{headline['cell']}]: "
-        f"{headline['speedup_end_to_end']:.2f}x end-to-end, "
-        f"{headline['replay_peak_ratio']:.2f}x lower replay peak memory"
+        f"{headline['end_to_end_s']:.2f}s end-to-end, "
+        f"{headline['replay_contacts_per_s']:,.0f} replayed contacts/s"
     )
     return 0
 

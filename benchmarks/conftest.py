@@ -34,7 +34,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: ``retouched`` gets a fixed clear list here; workload-aware benches
 #: replace it with a lineage-planned spec.
 ZOO_BENCH_SPECS = {
-    "dict": "dict",
     "array": "array",
     "multi": "multi:threshold=0.2,max=4",
     "retouched": "retouched:clear=1+2+5",

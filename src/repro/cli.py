@@ -37,7 +37,6 @@ larger than RAM opens in constant memory).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -68,21 +67,17 @@ from .traces import (
     open_trace_dataset,
 )
 from .obs import Observability
-from .traces.backends import TRACE_BACKEND_ENV_VAR, TRACE_BACKENDS
 from .traces.mobility import MobilityConfig, simulate_mobility
 
 __all__ = ["main", "build_parser", "resolve_trace"]
 
 
-def resolve_trace(
-    spec: str, scale: float, seed: int, backend: Optional[str] = None
-) -> ContactTrace:
+def resolve_trace(spec: str, scale: float, seed: int) -> ContactTrace:
     """Turn a ``--trace`` argument into a ContactTrace.
 
     ``haggle`` / ``mit`` / ``mobility`` use the built-in generators;
     ``csv:PATH`` and ``txt:PATH`` load recorded traces;
-    ``dataset:DIR`` opens an on-disk trace dataset (memory-mapped
-    unless *backend* overrides it).
+    ``dataset:DIR`` opens an on-disk trace dataset (memory-mapped).
     """
     if spec == "haggle":
         return haggle_like(scale=scale, seed=seed)
@@ -101,7 +96,7 @@ def resolve_trace(
     if spec.startswith("txt:"):
         return load_whitespace_trace(spec[4:])
     if spec.startswith("dataset:"):
-        return open_trace_dataset(spec[8:], backend=backend or "mmap")
+        return open_trace_dataset(spec[8:])
     raise SystemExit(
         f"unknown trace {spec!r}: use haggle, mit, mobility, csv:PATH, "
         f"txt:PATH or dataset:DIR"
@@ -109,13 +104,8 @@ def resolve_trace(
 
 
 def _resolve_trace(args) -> ContactTrace:
-    """resolve_trace plus the ``--trace-backend`` override."""
-    if getattr(args, "trace_backend", None):
-        os.environ[TRACE_BACKEND_ENV_VAR] = args.trace_backend
-    trace = resolve_trace(
-        args.trace, args.scale, args.seed,
-        backend=getattr(args, "trace_backend", None),
-    )
+    """resolve_trace plus the ``--first-days`` window."""
+    trace = resolve_trace(args.trace, args.scale, args.seed)
     first_days = getattr(args, "first_days", None)
     if first_days is not None:
         trace = trace.first_days(first_days)
@@ -138,11 +128,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="minimum per-node message rate, msgs/s (paper: 1/1800)",
     )
     parser.add_argument(
-        "--trace-backend", choices=list(TRACE_BACKENDS), default=None,
-        help="trace storage backend (default: $BSUB_TRACE_BACKEND or "
-             "columnar); all backends produce identical results",
-    )
-    parser.add_argument(
         "--first-days", type=float, default=None, metavar="DAYS",
         help="keep only the first DAYS days of the trace (handy for "
              "windowing a city-scale dataset down to a runnable slice)",
@@ -161,10 +146,10 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
 def _add_filter(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--filter", dest="filter_spec", default=None, metavar="SPEC",
-        help="relay filter backend spec: dict | array | "
+        help="relay filter backend spec: array | "
              "multi[:keys=N,mem=BYTES|:threshold=F,max=H] | "
              "retouched[:clear=B+B+...] | countbf[:rows=R] "
-             "(default: the paper's single array-backed TCBF; "
+             "(default: the paper's single TCBF; "
              "see docs/filters.md)",
     )
 
@@ -218,11 +203,20 @@ def _cmd_passive(args, trace: ContactTrace) -> int:
         ["channels exhausted", report.channels_exhausted],
         ["nodes seen", len(report.contacts_by_node)],
         ["busiest node contacts", busiest],
+    ]
+    print(format_table(["metric", "value"], rows, title="Passive replay"))
+    # How the replay ran goes to stderr in its own table, so stdout
+    # holds only the replay's facts: byte-identical for any shard
+    # count and any machine speed.
+    timing = [
         ["shards", args.shards or 1],
         ["replay wall-clock (s)", round(elapsed, 2)],
         ["contacts/s", round(report.num_contacts / max(elapsed, 1e-9))],
     ]
-    print(format_table(["metric", "value"], rows, title="Passive replay"))
+    print(
+        format_table(["metric", "value"], timing, title="Replay timing"),
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -563,6 +557,8 @@ def _cmd_serve(args) -> int:
     if args.workers is not None:
         spec = spec.with_workers(args.workers, spec.state_dir)
     if args.live:
+        if spec.trace_path is None:
+            raise SystemExit("bsub serve: --live needs --trace-out")
         spec = spec.with_live(True)
     registry = MetricsRegistry()
     print(f"broker: {spec.describe()}", file=sys.stderr)

@@ -26,7 +26,6 @@ from .allocation import (
     plan_allocation,
     plan_allocation_brute,
 )
-from .backends import BACKENDS, default_backend, resolve_backend
 from .bloom import BloomFilter
 from .counting_bloom import CountingBloomFilter
 from .countbf import CountBF2D
@@ -54,7 +53,6 @@ from .tcbf import DEFAULT_INITIAL_VALUE, TemporalCountingBloomFilter
 
 __all__ = [
     "AllocationPlan",
-    "BACKENDS",
     "BloomFilter",
     "CountBF2D",
     "CountingBloomFilter",
@@ -70,7 +68,6 @@ __all__ = [
     "decode_bloom",
     "decode_filter",
     "decode_tcbf",
-    "default_backend",
     "encode_bloom",
     "encode_filter",
     "encode_tcbf",
@@ -94,5 +91,4 @@ __all__ = [
     "raw_string_memory_bytes",
     "recommended_decay_factor",
     "registered_backends",
-    "resolve_backend",
 ]

@@ -19,7 +19,6 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import analysis
-from .backends import resolve_backend
 from .hashing import DEFAULT_SEED, HashFamily
 from .tcbf import DEFAULT_INITIAL_VALUE, TemporalCountingBloomFilter
 
@@ -199,7 +198,6 @@ class TCBFCollection:
         initial_value: float = DEFAULT_INITIAL_VALUE,
         decay_factor: float = 0.0,
         max_filters: Optional[int] = None,
-        backend: Optional[str] = None,
     ):
         if not 0.0 < fill_ratio_threshold <= 1.0:
             raise ValueError(
@@ -215,7 +213,6 @@ class TCBFCollection:
         self.initial_value = initial_value
         self.decay_factor = decay_factor
         self.max_filters = max_filters
-        self.backend = resolve_backend(backend)
         self._filters: List[TemporalCountingBloomFilter] = [self._fresh(0.0)]
 
     @classmethod
@@ -241,7 +238,6 @@ class TCBFCollection:
             initial_value=self.initial_value,
             decay_factor=self.decay_factor,
             time=time,
-            backend=self.backend,
         )
 
     @property
@@ -357,7 +353,6 @@ class TCBFCollection:
             initial_value=self.initial_value,
             decay_factor=self.decay_factor,
             max_filters=self.max_filters,
-            backend=self.backend,
         )
         clone._filters = [f.copy() for f in self._filters]
         return clone

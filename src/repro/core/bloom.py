@@ -11,11 +11,10 @@ exchange in producer/consumer meetings (Sec. V-D): the counters of a
 TCBF are "ripped off" before transmission, leaving exactly this
 structure.
 
-Bits live behind the :mod:`repro.core.backends` seam (``dict`` = the
-original set of positions, ``array`` = a dense boolean vector), and the
-batch APIs (:meth:`BloomFilter.insert_batch`,
-:meth:`BloomFilter.query_batch`) answer many keys per call — the hot
-path for broker message matching.
+Bits live in a dense boolean vector
+(:class:`~repro.core.stores.ArrayBitStore`), and the batch APIs
+(:meth:`BloomFilter.insert_batch`, :meth:`BloomFilter.query_batch`)
+answer many keys per call — the hot path for broker message matching.
 """
 
 from __future__ import annotations
@@ -24,9 +23,9 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .backends import make_bit_store, resolve_backend
 from .hashing import DEFAULT_SEED, HashFamily
 from .params import resolve_param
+from .stores import ArrayBitStore
 
 __all__ = ["BloomFilter"]
 
@@ -45,15 +44,12 @@ class BloomFilter:
     family:
         Optionally pass an existing :class:`HashFamily` instead of
         ``num_bits``/``num_hashes``/``seed``.
-    backend:
-        ``"dict"`` or ``"array"`` bit storage (``None`` -> the process
-        default, see :mod:`repro.core.backends`).
     m, k:
         Keyword-only paper-notation aliases for ``num_bits`` /
         ``num_hashes``; passing both spellings is a ``TypeError``.
     """
 
-    __slots__ = ("family", "backend", "_store")
+    __slots__ = ("family", "_store")
 
     def __init__(
         self,
@@ -61,7 +57,6 @@ class BloomFilter:
         num_hashes: Optional[int] = None,
         seed: int = DEFAULT_SEED,
         family: Optional[HashFamily] = None,
-        backend: Optional[str] = None,
         *,
         m: Optional[int] = None,
         k: Optional[int] = None,
@@ -71,8 +66,7 @@ class BloomFilter:
         self.family = family if family is not None else HashFamily(
             num_hashes, num_bits, seed
         )
-        self.backend = resolve_backend(backend)
-        self._store = make_bit_store(self.backend, self.family.num_bits)
+        self._store = ArrayBitStore(self.family.num_bits)
 
     # -- basic properties -------------------------------------------------
 
@@ -171,20 +165,18 @@ class BloomFilter:
         num_hashes: Optional[int] = None,
         seed: int = DEFAULT_SEED,
         family: Optional[HashFamily] = None,
-        backend: Optional[str] = None,
         *,
         m: Optional[int] = None,
         k: Optional[int] = None,
     ) -> "BloomFilter":
         """Build a filter containing every key in *keys*."""
-        bf = cls(num_bits, num_hashes, seed, family=family, backend=backend,
-                 m=m, k=k)
+        bf = cls(num_bits, num_hashes, seed, family=family, m=m, k=k)
         bf.insert_batch(list(keys))
         return bf
 
     def copy(self) -> "BloomFilter":
         """An independent copy sharing the hash family."""
-        clone = BloomFilter(family=self.family, backend=self.backend)
+        clone = BloomFilter(family=self.family)
         clone._store = self._store.copy()
         return clone
 
@@ -193,13 +185,12 @@ class BloomFilter:
         cls,
         bits: Iterable[int],
         family: HashFamily,
-        backend: Optional[str] = None,
     ) -> "BloomFilter":
         """Rebuild a filter from explicit set-bit positions.
 
         Used when decoding the compact wire format (Sec. VI-C).
         """
-        bf = cls(family=family, backend=backend)
+        bf = cls(family=family)
         positions = list(bits)
         for position in positions:
             if not 0 <= position < family.num_bits:

@@ -23,21 +23,20 @@ which is the accuracy-per-bit argument of the countBF paper.
 * **announcements** — :meth:`announce` reinforces a consumer's keys
   additively, mirroring :class:`~repro.pubsub.exact.ExactInterestRelay`.
 
-Cells live behind the same :mod:`repro.core.backends` storage seam as
-every other filter, so the ``dict`` and ``array`` stores stay
-bit-identical here too.
+Cells live in the same dense
+:class:`~repro.core.stores.ArrayCounterStore` as the TCBF's counters.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .analysis import filter_memory_bytes
-from .backends import make_counter_store, resolve_backend
 from .hashing import DEFAULT_SEED, HashFamily
+from .stores import ArrayCounterStore
 from .tcbf import DEFAULT_INITIAL_VALUE
 
 __all__ = ["CountBF2D", "DEFAULT_ROWS"]
@@ -67,7 +66,7 @@ class CountBF2D:
     seed:
         Base seed; the row and column hash families are salted variants
         so two nodes sharing a seed agree on every cell.
-    initial_value, decay_factor, time, backend:
+    initial_value, decay_factor, time:
         As for :class:`~repro.core.tcbf.TemporalCountingBloomFilter`.
     """
 
@@ -78,7 +77,6 @@ class CountBF2D:
         "seed",
         "initial_value",
         "decay_factor",
-        "backend",
         "version",
         "_row_family",
         "_col_family",
@@ -95,7 +93,6 @@ class CountBF2D:
         initial_value: float = DEFAULT_INITIAL_VALUE,
         decay_factor: float = 0.0,
         time: float = 0.0,
-        backend: Optional[str] = None,
     ):
         if rows < 2:
             raise ValueError(f"rows must be >= 2, got {rows}")
@@ -114,10 +111,9 @@ class CountBF2D:
         self.seed = int(seed)
         self.initial_value = float(initial_value)
         self.decay_factor = float(decay_factor)
-        self.backend = resolve_backend(backend)
         self._row_family = HashFamily(num_hashes, self.rows, seed ^ _ROW_SALT)
         self._col_family = HashFamily(num_hashes, self.cols, seed ^ _COL_SALT)
-        self._store = make_counter_store(self.backend, self.num_cells)
+        self._store = ArrayCounterStore(self.num_cells)
         self._time = float(time)
         #: Mutation counter (wire-size memoisation, as on the TCBF).
         self.version = 0
@@ -334,7 +330,6 @@ class CountBF2D:
             initial_value=self.initial_value,
             decay_factor=self.decay_factor,
             time=self._time,
-            backend=self.backend,
         )
         clone._store = self._store.copy()
         clone.version = self.version

@@ -11,8 +11,8 @@ Repeated hash positions for one key are counted once per insertion, so
 insert/delete of the same key always round-trips even when ``k`` probes
 collide.
 
-Counters live behind the :mod:`repro.core.backends` seam; the ``array``
-backend packs them into an integer numpy vector with vectorized batch
+Counters live in an integer numpy vector
+(:class:`~repro.core.stores.ArrayCounterStore`) with vectorized batch
 queries.
 """
 
@@ -22,10 +22,10 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .backends import make_counter_store, resolve_backend
 from .bloom import BloomFilter
 from .hashing import DEFAULT_SEED, HashFamily
 from .params import resolve_param
+from .stores import ArrayCounterStore
 
 __all__ = ["CountingBloomFilter"]
 
@@ -37,7 +37,7 @@ class CountingBloomFilter:
     ``num_bits`` / ``num_hashes``.
     """
 
-    __slots__ = ("family", "backend", "_store")
+    __slots__ = ("family", "_store")
 
     def __init__(
         self,
@@ -45,7 +45,6 @@ class CountingBloomFilter:
         num_hashes: Optional[int] = None,
         seed: int = DEFAULT_SEED,
         family: Optional[HashFamily] = None,
-        backend: Optional[str] = None,
         *,
         m: Optional[int] = None,
         k: Optional[int] = None,
@@ -55,11 +54,7 @@ class CountingBloomFilter:
         self.family = family if family is not None else HashFamily(
             num_hashes, num_bits, seed
         )
-        self.backend = resolve_backend(backend)
-        # Sparse map / integer vector of position -> count.
-        self._store = make_counter_store(
-            self.backend, self.family.num_bits, integer=True
-        )
+        self._store = ArrayCounterStore(self.family.num_bits, integer=True)
 
     @property
     def num_bits(self) -> int:
@@ -153,9 +148,7 @@ class CountingBloomFilter:
 
     def to_bloom(self) -> BloomFilter:
         """The plain Bloom filter with the same set bits."""
-        return BloomFilter.from_bits(
-            self._store.positions(), self.family, backend=self.backend
-        )
+        return BloomFilter.from_bits(self._store.positions(), self.family)
 
     @classmethod
     def of(
@@ -165,14 +158,13 @@ class CountingBloomFilter:
         num_hashes: int = 4,
         seed: int = DEFAULT_SEED,
         family: Optional[HashFamily] = None,
-        backend: Optional[str] = None,
     ) -> "CountingBloomFilter":
-        cbf = cls(num_bits, num_hashes, seed, family=family, backend=backend)
+        cbf = cls(num_bits, num_hashes, seed, family=family)
         cbf.insert_all(keys)
         return cbf
 
     def copy(self) -> "CountingBloomFilter":
-        clone = CountingBloomFilter(family=self.family, backend=self.backend)
+        clone = CountingBloomFilter(family=self.family)
         clone._store = self._store.copy()
         return clone
 

@@ -8,8 +8,7 @@ string — ``"name"`` or ``"name:param=value,param=value"`` — accepted by
 ``BsubConfig.filter_spec``:
 
 ========== ===========================================================
-``dict``    single TCBF on the dict counter store
-``array``   single TCBF on the dense array store (the default relay)
+``array``   the paper's single TCBF (the default relay)
 ``multi``   Sec. VI-C/VI-D optimal multi-TCBF collection; geometry from
             the Eq. 9–10 planner (``mem=``/``keys=`` params) or an
             explicit ``threshold=``/``max=`` override
@@ -76,7 +75,7 @@ class FilterBackendSpec:
     factory:
         ``factory(params, **geometry) -> relay filter``; geometry
         kwargs are ``family, num_bits, num_hashes, seed, initial_value,
-        decay_factor, time, backend``.
+        decay_factor, time``.
     """
 
     name: str
@@ -115,26 +114,22 @@ def _float_param(params: Dict[str, str], name: str, default: float) -> float:
         ) from exc
 
 
-def _make_single(backend_name):
-    def factory(
-        params, *, family, num_bits, num_hashes, seed,
-        initial_value, decay_factor, time, backend,
-    ):
-        family, _, _, _ = _geometry(family, num_bits, num_hashes, seed)
-        return TemporalCountingBloomFilter(
-            family=family,
-            initial_value=initial_value,
-            decay_factor=decay_factor,
-            time=time,
-            backend=backend_name,
-        )
-
-    return factory
+def _make_single(
+    params, *, family, num_bits, num_hashes, seed,
+    initial_value, decay_factor, time,
+):
+    family, _, _, _ = _geometry(family, num_bits, num_hashes, seed)
+    return TemporalCountingBloomFilter(
+        family=family,
+        initial_value=initial_value,
+        decay_factor=decay_factor,
+        time=time,
+    )
 
 
 def _make_multi(
     params, *, family, num_bits, num_hashes, seed,
-    initial_value, decay_factor, time, backend,
+    initial_value, decay_factor, time,
 ):
     family, num_bits, num_hashes, seed = _geometry(
         family, num_bits, num_hashes, seed
@@ -160,7 +155,6 @@ def _make_multi(
         initial_value=initial_value,
         decay_factor=decay_factor,
         max_filters=max_filters,
-        backend=backend,
     )
     collection.advance(time)
     return collection
@@ -168,7 +162,7 @@ def _make_multi(
 
 def _make_retouched(
     params, *, family, num_bits, num_hashes, seed,
-    initial_value, decay_factor, time, backend,
+    initial_value, decay_factor, time,
 ):
     family, num_bits, _, _ = _geometry(family, num_bits, num_hashes, seed)
     cleared = ()
@@ -186,14 +180,13 @@ def _make_retouched(
         initial_value=initial_value,
         decay_factor=decay_factor,
         time=time,
-        backend=backend,
         cleared_bits=cleared,
     )
 
 
 def _make_countbf(
     params, *, family, num_bits, num_hashes, seed,
-    initial_value, decay_factor, time, backend,
+    initial_value, decay_factor, time,
 ):
     _, num_bits, num_hashes, seed = _geometry(family, num_bits, num_hashes, seed)
     return CountBF2D(
@@ -204,7 +197,6 @@ def _make_countbf(
         initial_value=initial_value,
         decay_factor=decay_factor,
         time=time,
-        backend=backend,
     )
 
 
@@ -213,16 +205,10 @@ FILTER_BACKENDS: Dict[str, FilterBackendSpec] = {
     spec.name: spec
     for spec in (
         FilterBackendSpec(
-            name="dict",
-            summary="single TCBF, sparse dict counter store",
-            params=(),
-            factory=_make_single("dict"),
-        ),
-        FilterBackendSpec(
             name="array",
-            summary="single TCBF, dense array counter store (default)",
+            summary="the paper's single TCBF (default)",
             params=(),
-            factory=_make_single("array"),
+            factory=_make_single,
         ),
         FilterBackendSpec(
             name="multi",
@@ -308,7 +294,6 @@ def make_relay_filter(
     initial_value: float = DEFAULT_INITIAL_VALUE,
     decay_factor: float = 0.0,
     time: float = 0.0,
-    backend: Optional[str] = None,
 ):
     """Construct the relay filter a spec string describes.
 
@@ -327,7 +312,6 @@ def make_relay_filter(
         initial_value=initial_value,
         decay_factor=decay_factor,
         time=time,
-        backend=backend,
     )
 
 
@@ -407,7 +391,6 @@ def decode_filter(
     initial_value: float = DEFAULT_INITIAL_VALUE,
     decay_factor: float = 0.0,
     time: float = 0.0,
-    backend: Optional[str] = None,
 ):
     """Decode :func:`encode_filter` output back into a live filter.
 
@@ -422,27 +405,23 @@ def decode_filter(
     )
     tag, body = data[0], data[1:]
     if tag == _ZOO_TCBF:
-        return decode_tcbf(
-            body, family, initial_value, decay_factor, time, backend
-        )
+        return decode_tcbf(body, family, initial_value, decay_factor, time)
     if tag == _ZOO_RETOUCHED:
         return _decode_retouched(
-            body, family, initial_value, decay_factor, time, backend
+            body, family, initial_value, decay_factor, time
         )
     if tag == _ZOO_COLLECTION:
         return _decode_collection(
-            body, family, initial_value, decay_factor, time, backend
+            body, family, initial_value, decay_factor, time
         )
     if tag == _ZOO_COUNTBF:
         return _decode_countbf(
-            body, num_hashes, seed, initial_value, decay_factor, time, backend
+            body, num_hashes, seed, initial_value, decay_factor, time
         )
     raise ValueError(f"unknown filter zoo wire tag {tag:#x}")
 
 
-def _decode_retouched(
-    body, family, initial_value, decay_factor, time, backend
-):
+def _decode_retouched(body, family, initial_value, decay_factor, time):
     if len(body) < _RETOUCHED_HEADER.size:
         raise ValueError("truncated retouched frame: missing cleared count")
     (count,) = _RETOUCHED_HEADER.unpack_from(body)
@@ -457,14 +436,13 @@ def _decode_retouched(
         _U16.unpack_from(body, offset + i * _U16.size)[0] for i in range(count)
     ]
     inner = decode_tcbf(
-        body[needed:], family, initial_value, decay_factor, time, backend
+        body[needed:], family, initial_value, decay_factor, time
     )
     filt = RetouchedTCBF(
         family=family,
         initial_value=initial_value,
         decay_factor=decay_factor,
         time=time,
-        backend=backend,
         cleared_bits=cleared,
     )
     filt._store = inner._store
@@ -473,9 +451,7 @@ def _decode_retouched(
     return filt
 
 
-def _decode_collection(
-    body, family, initial_value, decay_factor, time, backend
-):
+def _decode_collection(body, family, initial_value, decay_factor, time):
     if len(body) < _COLLECTION_HEADER.size:
         raise ValueError("truncated collection frame: missing header")
     threshold, max_raw, count = _COLLECTION_HEADER.unpack_from(body)
@@ -498,7 +474,6 @@ def _decode_collection(
                 initial_value,
                 decay_factor,
                 time,
-                backend,
             )
         )
         offset += length
@@ -512,7 +487,6 @@ def _decode_collection(
         initial_value=initial_value,
         decay_factor=decay_factor,
         max_filters=max_raw or None,
-        backend=backend,
     )
     collection.advance(time)
     if filters:
@@ -521,7 +495,7 @@ def _decode_collection(
 
 
 def _decode_countbf(
-    body, num_hashes, seed, initial_value, decay_factor, time, backend
+    body, num_hashes, seed, initial_value, decay_factor, time
 ):
     if len(body) < _COUNTBF_HEADER.size:
         raise ValueError("truncated countBF frame: missing header")
@@ -543,7 +517,6 @@ def _decode_countbf(
         initial_value=initial_value,
         decay_factor=decay_factor,
         time=time,
-        backend=backend,
     )
     if filt.cols != cols:
         raise ValueError(

@@ -110,7 +110,6 @@ class RetouchedTCBF(TemporalCountingBloomFilter):
             initial_value=self.initial_value,
             decay_factor=self.decay_factor,
             time=self._time,
-            backend=self.backend,
             cleared_bits=self.cleared_bits,
         )
         clone._store = self._store.copy()

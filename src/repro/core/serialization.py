@@ -132,9 +132,7 @@ def _checked_locations(
     return positions
 
 
-def decode_bloom(
-    data: bytes, family: HashFamily, backend: Optional[str] = None
-) -> BloomFilter:
+def decode_bloom(data: bytes, family: HashFamily) -> BloomFilter:
     """Decode :func:`encode_bloom` output against a known hash family.
 
     Raises ``ValueError`` on any malformed input — short buffers,
@@ -152,7 +150,7 @@ def decode_bloom(
         positions = _unpack_raw_bits(body, num_bits)
     else:
         raise ValueError(f"unexpected wire tag {tag:#x} for a plain BF")
-    return BloomFilter.from_bits(positions, family, backend=backend)
+    return BloomFilter.from_bits(positions, family)
 
 
 def _quantise(value: float, scale: float) -> int:
@@ -228,7 +226,6 @@ def decode_tcbf(
     initial_value: float,
     decay_factor: float = 0.0,
     time: float = 0.0,
-    backend: Optional[str] = None,
 ) -> TemporalCountingBloomFilter:
     """Decode :func:`encode_tcbf` output (``full`` or ``identical`` forms).
 
@@ -248,7 +245,6 @@ def decode_tcbf(
         initial_value=initial_value,
         decay_factor=decay_factor,
         time=time,
-        backend=backend,
     )
     if tag not in (_TAG_FULL_COUNTERS, _TAG_RAW_FULL_COUNTERS, _TAG_SHARED_COUNTER):
         raise ValueError(

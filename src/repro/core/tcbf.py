@@ -35,12 +35,10 @@ observationally identical to the paper's continuous decrementing (the
 equivalence is covered by tests and an ablation benchmark) but costs
 O(set bits) per touch instead of O(set bits) per tick.
 
-Counters live behind the :mod:`repro.core.backends` seam: the ``dict``
-backend keeps the original sparse mapping, the ``array`` backend packs
-them into a numpy vector so decay, merges, and the batch APIs
-(:meth:`insert_batch`, :meth:`query_batch`, :meth:`min_counter_batch`,
-:meth:`preference_batch`) run vectorized.  Both backends produce
-bit-identical results.
+Counters live in a dense numpy vector
+(:class:`~repro.core.stores.ArrayCounterStore`), so decay, merges, and
+the batch APIs (:meth:`insert_batch`, :meth:`query_batch`,
+:meth:`min_counter_batch`, :meth:`preference_batch`) run vectorized.
 """
 
 from __future__ import annotations
@@ -49,10 +47,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backends import make_counter_store, resolve_backend
 from .bloom import BloomFilter
 from .hashing import DEFAULT_SEED, HashFamily
 from .params import resolve_param
+from .stores import ArrayCounterStore
 
 __all__ = ["TemporalCountingBloomFilter", "DEFAULT_INITIAL_VALUE"]
 
@@ -75,9 +73,6 @@ class TemporalCountingBloomFilter:
     time:
         The filter's notion of "now" at creation; :meth:`advance` moves
         it forward.
-    backend:
-        ``"dict"`` or ``"array"`` counter storage (``None`` -> the
-        process default, see :mod:`repro.core.backends`).
     m, k, df:
         Keyword-only paper-notation aliases for ``num_bits`` /
         ``num_hashes`` / ``decay_factor``; passing both spellings of a
@@ -88,7 +83,6 @@ class TemporalCountingBloomFilter:
         "family",
         "initial_value",
         "decay_factor",
-        "backend",
         "_store",
         "_time",
         "_merged",
@@ -104,7 +98,6 @@ class TemporalCountingBloomFilter:
         initial_value: float = DEFAULT_INITIAL_VALUE,
         decay_factor: Optional[float] = None,
         time: float = 0.0,
-        backend: Optional[str] = None,
         *,
         m: Optional[int] = None,
         k: Optional[int] = None,
@@ -122,8 +115,7 @@ class TemporalCountingBloomFilter:
         )
         self.initial_value = float(initial_value)
         self.decay_factor = float(decay_factor)
-        self.backend = resolve_backend(backend)
-        self._store = make_counter_store(self.backend, self.family.num_bits)
+        self._store = ArrayCounterStore(self.family.num_bits)
         self._time = float(time)
         self._merged = False
         #: Mutation counter: bumped by every operation that may change
@@ -370,9 +362,7 @@ class TemporalCountingBloomFilter:
 
     def to_bloom(self) -> BloomFilter:
         """Strip the counters, leaving the plain BF wire format (Sec. VI-C)."""
-        return BloomFilter.from_bits(
-            self._store.positions(), self.family, backend=self.backend
-        )
+        return BloomFilter.from_bits(self._store.positions(), self.family)
 
     @classmethod
     def of(
@@ -385,7 +375,6 @@ class TemporalCountingBloomFilter:
         initial_value: float = DEFAULT_INITIAL_VALUE,
         decay_factor: Optional[float] = None,
         time: float = 0.0,
-        backend: Optional[str] = None,
         *,
         m: Optional[int] = None,
         k: Optional[int] = None,
@@ -400,7 +389,6 @@ class TemporalCountingBloomFilter:
             initial_value=initial_value,
             decay_factor=decay_factor,
             time=time,
-            backend=backend,
             m=m,
             k=k,
             df=df,
@@ -419,7 +407,6 @@ class TemporalCountingBloomFilter:
             initial_value=self.initial_value,
             decay_factor=self.decay_factor,
             time=self._time,
-            backend=self.backend,
         )
         fresh.insert_batch(list(keys))
         if additive:
@@ -434,7 +421,6 @@ class TemporalCountingBloomFilter:
             initial_value=self.initial_value,
             decay_factor=self.decay_factor,
             time=self._time,
-            backend=self.backend,
         )
         clone._store = self._store.copy()
         clone._merged = self._merged

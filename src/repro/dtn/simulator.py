@@ -181,14 +181,7 @@ def passive_partial(store, rate_bps: Optional[float]) -> Dict[str, Any]:
     result as one global pass — float max is exact and the budget test
     ``duration * rate / 8 < 1`` is evaluated per row either way.
     """
-    columns = getattr(store, "columns", None)
-    if columns is not None:
-        starts, durations, a, b = columns()
-    else:  # bare sequence of contacts (defensive; not used by traces)
-        starts = np.array([c.start for c in store], dtype=np.float64)
-        durations = np.array([c.duration for c in store], dtype=np.float64)
-        a = np.array([c.a for c in store], dtype=np.int64)
-        b = np.array([c.b for c in store], dtype=np.int64)
+    starts, durations, a, b = store.columns()
     n = len(starts)
     exhausted = 0
     end_max = -np.inf
@@ -388,7 +381,7 @@ class Simulation:
         store = trace.contacts
         rate = self.rate_bps
         shards = self.shards or 1
-        if shards > 1 and hasattr(store, "row_slice"):
+        if shards > 1:
             partials = self._passive_partials(store, shards)
         else:
             partials = [passive_partial(store, rate)]
@@ -412,9 +405,9 @@ class Simulation:
         Worker processes re-open the dataset from ``store.source`` and
         read only their row range, so the fan-out never pickles contact
         data.  When the store has no re-openable source (in-memory
-        columnar, anonymous spill, sliced view) or the machine has a
-        single core, the same windows are reduced in-process — the
-        merge is identical either way.
+        columnar, sliced view) or the machine has a single core, the
+        same windows are reduced in-process — the merge is identical
+        either way.
         """
         bounds = split_rows(len(store), shards)
         source = getattr(store, "source", None)
@@ -456,14 +449,8 @@ class Simulation:
         # consecutive row ranges of the time-sorted trace.  When
         # ``shards`` is set, chunk edges are additionally cut at the
         # shard bounds (windowed-serial execution — identical results).
-        if getattr(store, "backend", "object") == "object":
-            contact_list = list(store)
-            columns = None
-            chunk_ranges = replay_chunks(len(contact_list), self.shards)
-        else:
-            contact_list = None
-            columns = store.columns()
-            chunk_ranges = replay_chunks(len(columns[0]), self.shards)
+        columns = store.columns()
+        chunk_ranges = replay_chunks(len(columns[0]), self.shards)
         num_events = len(events)
 
         num_messages_created = 0
@@ -475,17 +462,10 @@ class Simulation:
         mi = 0
         now = 0.0
         for lo, hi in chunk_ranges:
-            if columns is not None:
-                c_start = columns[0][lo:hi].tolist()
-                c_duration = columns[1][lo:hi].tolist()
-                c_a = columns[2][lo:hi].tolist()
-                c_b = columns[3][lo:hi].tolist()
-            else:
-                chunk = contact_list[lo:hi]
-                c_start = [c.start for c in chunk]
-                c_duration = [c.duration for c in chunk]
-                c_a = [c.a for c in chunk]
-                c_b = [c.b for c in chunk]
+            c_start = columns[0][lo:hi].tolist()
+            c_duration = columns[1][lo:hi].tolist()
+            c_a = columns[2][lo:hi].tolist()
+            c_b = columns[3][lo:hi].tolist()
             n_chunk = len(c_start)
             # Fault-quiet chunk: no churn event is due before the last
             # contact of this chunk, so every ``advance`` call inside
@@ -493,7 +473,7 @@ class Simulation:
             # endpoint checks collapse to one vectorised mask (or
             # nothing at all when every node is up).
             quiet = down = None
-            if faults is not None and n_chunk and columns is not None:
+            if faults is not None and n_chunk:
                 if faults.next_event_time() > c_start[n_chunk - 1]:
                     quiet = True
                     down = faults.down_mask(
@@ -540,10 +520,7 @@ class Simulation:
                         faults.accounting.contacts_skipped += 1
                         contacts_seen += 1
                         continue
-                if contact_list is None:
-                    contact = Contact(start, duration, a, b)
-                else:
-                    contact = contact_list[index]
+                contact = Contact(start, duration, a, b)
                 if faults is not None:
                     channel = faults.make_channel(contact, index, rate_bps)
                 else:

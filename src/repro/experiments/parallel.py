@@ -101,7 +101,7 @@ def _passive_shard(
 ) -> Dict[str, Any]:
     """Worker: re-open one row range of a dataset and reduce it."""
     from ..dtn.simulator import passive_partial
-    from ..traces.backends import MmapContactStore
+    from ..traces.stores import MmapContactStore
 
     source, lo, hi, rate_bps = args
     return passive_partial(MmapContactStore.open(source, lo, hi), rate_bps)

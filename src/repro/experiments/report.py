@@ -121,7 +121,7 @@ def format_observability(obs) -> str:
     if tracer is not None and getattr(tracer, "enabled", False):
         counts = tracer.counts()
         rows = [[name, counts[name]] for name in sorted(counts)]
-        rows.append(["total", len(tracer.events)])
+        rows.append(["total", len(tracer)])
         sections.append(
             format_table(["event type", "count"], rows, title="Event trace")
         )

@@ -450,7 +450,7 @@ def analyze_trace(
 
     The trace is consumed strictly as a stream: peak analyzer memory is
     O(messages alive at once) plus O(nodes), never O(events), so
-    million-event traces from the columnar backend analyze in bounded
+    million-event traces from city-scale replays analyze in bounded
     space.  Given a path, the schema version is read from the file's
     meta header (headerless files are treated as schema 1 and fully
     supported); given an iterable, pass ``trace_schema`` explicitly if

@@ -8,10 +8,10 @@ The instrumented hot paths all follow the same pattern::
 With the :data:`NULL_RECORDER` (the default everywhere) the guard is a
 single attribute load on a shared singleton, so the instrumentation
 costs nothing when observability is off — in particular, no event
-field is even computed.  A :class:`TraceRecorder` collects
-:class:`~repro.obs.events.TraceEvent` records in memory, can stream
-them to JSONL, and exposes a SHA-256 digest of the canonical encoding
-for golden-trace pinning.
+field is even computed.  A :class:`TraceRecorder` either collects
+:class:`~repro.obs.events.TraceEvent` records in memory (exposing a
+SHA-256 digest of the canonical encoding for golden-trace pinning) or
+streams them to a JSONL sink in bounded memory.
 
 Trace files start with one meta header line carrying the schema
 version (:data:`~repro.obs.events.TRACE_SCHEMA_VERSION`); the readers
@@ -81,15 +81,21 @@ NULL_RECORDER = NullRecorder()
 
 
 class TraceRecorder:
-    """Collects structured protocol events in memory.
+    """Collects structured protocol events, in memory or to a sink.
 
     Parameters
     ----------
     sink:
-        Optional writable text file object; when set, the meta header
-        line is written immediately and each event is additionally
-        written as one JSONL line at emit time (streaming mode for runs
-        too large to buffer).
+        Optional writable text file object.  When set, the recorder
+        *streams*: the meta header line is written immediately, each
+        event is written as one JSONL line at emit time and then
+        dropped, so a long-running traced daemon holds only the
+        sequence number and the per-type counts.  ``events`` is then
+        ``None``, and the methods that need the event list
+        (:meth:`events_of`, :meth:`to_jsonl`, :meth:`write_jsonl`,
+        :meth:`digest`) raise; read the events back from the sink's
+        file instead.  Without a sink every event is buffered in
+        ``events``.
 
     Listeners registered via :meth:`subscribe` are called synchronously
     with every :class:`TraceEvent` at emit time — the in-process event
@@ -101,8 +107,9 @@ class TraceRecorder:
     enabled = True
 
     def __init__(self, sink=None):
-        self.events: List[TraceEvent] = []
+        self.events: Optional[List[TraceEvent]] = [] if sink is None else None
         self._seq = 0
+        self._type_counts: Dict[str, int] = {}
         self._sink = sink
         self._listeners: List[Callable[[TraceEvent], None]] = []
         if sink is not None:
@@ -129,48 +136,60 @@ class TraceRecorder:
         """Record one event, assigning the next sequence number."""
         event = TraceEvent(seq=self._seq, t=float(t), type=type, fields=fields)
         self._seq += 1
-        self.events.append(event)
-        if self._sink is not None:
+        counts = self._type_counts
+        counts[type] = counts.get(type, 0) + 1
+        if self._sink is None:
+            self.events.append(event)
+        else:
             self._sink.write(event.to_json() + "\n")
         if self._listeners:
             for listener in list(self._listeners):
                 listener(event)
 
     def __len__(self) -> int:
-        return len(self.events)
+        """Number of events emitted so far (buffered or streamed)."""
+        return self._seq
+
+    def _buffered(self) -> List[TraceEvent]:
+        if self.events is None:
+            raise RuntimeError(
+                "a streaming TraceRecorder(sink=...) keeps no events; "
+                "read them back from the sink's file"
+            )
+        return self.events
 
     def events_of(self, type: str) -> List[TraceEvent]:
-        """All recorded events of one type, in emit order."""
+        """All recorded events of one type, in emit order (buffered only)."""
         if type not in EVENT_TYPES:
             raise ValueError(
                 f"unknown event type {type!r}; expected one of {EVENT_TYPES}"
             )
-        return [e for e in self.events if e.type == type]
+        return [e for e in self._buffered() if e.type == type]
 
     def counts(self) -> Dict[str, int]:
         """type -> number of events (every type present, zeros included)."""
-        counts = {t: 0 for t in EVENT_TYPES}
-        for event in self.events:
-            counts[event.type] += 1
+        counts = dict.fromkeys(EVENT_TYPES, 0)
+        counts.update(self._type_counts)
         return counts
 
     def to_jsonl(self) -> str:
-        """The events as canonical JSONL (one per line, no meta header)."""
-        return "".join(event.to_json() + "\n" for event in self.events)
+        """The events as canonical JSONL, no meta header (buffered only)."""
+        return "".join(event.to_json() + "\n" for event in self._buffered())
 
     def write_jsonl(self, path: str) -> int:
-        """Write the trace (meta header + events) to *path*.
+        """Write the trace (meta header + events) to *path* (buffered only).
 
         Returns the number of events (the header is not an event).
         """
+        body = self.to_jsonl()
         with open(path, "w") as fh:
             fh.write(trace_meta_line() + "\n")
-            fh.write(self.to_jsonl())
-        return len(self.events)
+            fh.write(body)
+        return len(self)
 
     def digest(self) -> str:
-        """SHA-256 hex digest of the canonical JSONL encoding."""
-        return trace_digest(self.events)
+        """SHA-256 hex digest of the canonical JSONL encoding (buffered only)."""
+        return trace_digest(self._buffered())
 
 
 def trace_digest(events: Iterable[TraceEvent]) -> str:

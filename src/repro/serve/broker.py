@@ -164,7 +164,9 @@ class BrokerServer:
                 recorder = NULL_RECORDER
         self.recorder = recorder
         self.tailer: Optional[LiveTailer] = None
-        if spec.live and isinstance(recorder, TraceRecorder):
+        if spec.live:
+            if not isinstance(recorder, TraceRecorder):
+                raise ValueError("live=True needs a TraceRecorder to tail")
             self.tailer = LiveTailer(registry=self.registry)
             recorder.subscribe(self.tailer.feed)
         origin = (

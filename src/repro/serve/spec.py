@@ -155,7 +155,8 @@ class ServeSpec:
         can rebuild its subscription index.
     live:
         Attach a :class:`~repro.obs.live.LiveTailer` to the broker's
-        trace recorder (requires ``trace_path``): the ``/metrics``
+        trace recorder (``trace_path`` is required; a live spec
+        without one is rejected at construction): the ``/metrics``
         exposition grows ``live_*`` rolling series, and shutdown
         cross-checks the tailer's running totals against the
         dispatcher's parity counters (``live_parity_ok`` in the
@@ -244,6 +245,10 @@ class ServeSpec:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.live and self.trace_path is None:
+            # The tailer reads the broker's trace stream; without one
+            # there is nothing to tail.
+            raise ValueError("live=True needs a trace_path to tail")
 
     # -- construction -------------------------------------------------------
 

@@ -17,16 +17,17 @@ appended to compact ``array.array`` columns, so a million-contact file
 costs ~32 bytes of resident memory per contact while loading and never
 builds a Python :class:`Contact` per row.  The finished columns are
 handed to :meth:`ContactTrace.from_arrays`, which sorts them once and
-wraps them in the configured trace backend.
+wraps them in a columnar store.
 
 This module also defines the **trace dataset** on-disk format backing
-the out-of-core ``mmap`` backend: a directory holding one ``.npy``
-file per column (``start.npy``, ``duration.npy``, ``a.npy``,
-``b.npy``) plus a ``meta.json`` with the contact count and node
-population.  :class:`ChunkedTraceWriter` streams sorted contact chunks
-into such a directory without ever holding the full trace in memory
-(the ``.npy`` headers are back-patched with the final row count on
-close), :func:`save_trace_dataset` spills an existing trace, and
+the out-of-core :class:`~repro.traces.stores.MmapContactStore`: a
+directory holding one ``.npy`` file per column (``start.npy``,
+``duration.npy``, ``a.npy``, ``b.npy``) plus a ``meta.json`` with the
+contact count and node population.  :class:`ChunkedTraceWriter`
+streams sorted contact chunks into such a directory without ever
+holding the full trace in memory (the ``.npy`` headers are
+back-patched with the final row count on close),
+:func:`save_trace_dataset` spills an existing trace, and
 :func:`open_trace_dataset` maps a dataset back as a
 :class:`~repro.traces.model.ContactTrace` in O(1) memory.
 """
@@ -42,13 +43,8 @@ import csv
 
 import numpy as np
 
-from .backends import (
-    TRACE_COLUMN_DTYPES,
-    TRACE_COLUMN_NAMES,
-    MmapContactStore,
-    resolve_trace_backend,
-)
 from .model import ContactTrace
+from .stores import TRACE_COLUMN_DTYPES, TRACE_COLUMN_NAMES, MmapContactStore
 
 __all__ = [
     "load_csv_trace",
@@ -87,11 +83,7 @@ class NodeRelabeller:
         return len(self._mapping)
 
 
-def _build_trace(
-    rows: Iterable[List[str]],
-    name: str,
-    backend: Optional[str] = None,
-) -> ContactTrace:
+def _build_trace(rows: Iterable[List[str]], name: str) -> ContactTrace:
     """Stream rows into columnar storage, one validated row at a time."""
     relabel = NodeRelabeller()
     starts = array("d")
@@ -123,8 +115,7 @@ def _build_trace(
     # Rows already satisfy the Contact.make invariants (positive
     # duration, distinct canonical endpoints), so skip re-validation.
     return ContactTrace.from_arrays(
-        starts, durations, a_ids, b_ids, name=name,
-        backend=backend, validate=False,
+        starts, durations, a_ids, b_ids, name=name, validate=False,
     )
 
 
@@ -147,18 +138,14 @@ def _csv_rows(path: Path) -> Iterator[List[str]]:
             yield row
 
 
-def load_csv_trace(
-    path: Union[str, Path],
-    name: str = "",
-    backend: Optional[str] = None,
-) -> ContactTrace:
+def load_csv_trace(path: Union[str, Path], name: str = "") -> ContactTrace:
     """Load a ``a,b,start,end`` CSV contact trace (streamed).
 
     A first line whose time fields do not parse as numbers is treated
     as a header and skipped.
     """
     path = Path(path)
-    return _build_trace(_csv_rows(path), name or path.stem, backend)
+    return _build_trace(_csv_rows(path), name or path.stem)
 
 
 def _whitespace_rows(path: Path) -> Iterator[List[str]]:
@@ -171,9 +158,7 @@ def _whitespace_rows(path: Path) -> Iterator[List[str]]:
 
 
 def load_whitespace_trace(
-    path: Union[str, Path],
-    name: str = "",
-    backend: Optional[str] = None,
+    path: Union[str, Path], name: str = ""
 ) -> ContactTrace:
     """Load a whitespace-separated ``a b start end`` contact trace
     (streamed).
@@ -181,11 +166,11 @@ def load_whitespace_trace(
     Lines starting with ``#`` and blank lines are ignored.
     """
     path = Path(path)
-    return _build_trace(_whitespace_rows(path), name or path.stem, backend)
+    return _build_trace(_whitespace_rows(path), name or path.stem)
 
 
 # ---------------------------------------------------------------------------
-# Trace datasets: the on-disk format behind the mmap backend
+# Trace datasets: the on-disk format behind the mmap store
 # ---------------------------------------------------------------------------
 
 #: Metadata filename inside a trace dataset directory.
@@ -371,28 +356,19 @@ def _read_dataset_meta(path: Path) -> Dict:
 
 def open_trace_dataset(
     path: Union[str, Path],
-    backend: Optional[str] = "mmap",
     name: Optional[str] = None,
     lo: int = 0,
     hi: Optional[int] = None,
 ) -> ContactTrace:
     """Open a trace dataset directory as a :class:`ContactTrace`.
 
-    With the default ``mmap`` backend this is O(1) in memory and time:
-    the columns are memory-mapped, not read.  ``backend="columnar"``
-    or ``"object"`` materialises the (sliced) columns in RAM instead.
+    This is O(1) in memory and time: the columns are memory-mapped
+    (:class:`~repro.traces.stores.MmapContactStore`), not read.
     ``lo``/``hi`` select a row range — the shard-worker entry point.
     """
     path = Path(path)
     meta = _read_dataset_meta(path)
     store = MmapContactStore.open(path, lo=lo, hi=hi)
-    backend = resolve_trace_backend(backend)
-    if backend == "columnar":
-        store = store.materialised()
-    elif backend == "object":
-        from .backends import ObjectContactStore
-
-        store = ObjectContactStore.from_arrays(*store.columns())
     if "num_nodes" in meta:
         nodes = tuple(range(int(meta["num_nodes"])))
     elif "nodes" in meta:

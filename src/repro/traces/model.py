@@ -7,13 +7,10 @@ meeting between two nodes with a start time and a duration; a
 :class:`ContactTrace` is a time-sorted sequence of contacts plus the
 node population.
 
-Storage lives behind the backend seam in
-:mod:`repro.traces.backends`: the default ``columnar`` backend keeps
-the trace as four numpy columns (32 bytes per contact, zero-copy time
-slicing) and materialises :class:`Contact` objects lazily; the
-``object`` backend keeps the original list-of-dataclasses layout.
-Both expose identical behaviour — pick with ``BSUB_TRACE_BACKEND`` or
-the ``backend=`` argument.
+Storage lives in :mod:`repro.traces.stores`: a trace built in memory
+keeps four numpy columns (32 bytes per contact, zero-copy time
+slicing) and materialises :class:`Contact` objects lazily; a trace
+dataset opened from disk maps the same columns from ``.npy`` files.
 """
 
 from __future__ import annotations
@@ -30,11 +27,7 @@ from typing import (
     Tuple,
 )
 
-from .backends import (
-    ContactStore,
-    make_contact_store,
-    store_from_arrays,
-)
+from .stores import ColumnarContactStore, store_from_arrays
 
 __all__ = ["Contact", "ContactTrace"]
 
@@ -108,10 +101,6 @@ class ContactTrace:
         exist and count against delivery ratios).
     name:
         Human-readable trace label (shows up in reports).
-    backend:
-        Trace storage backend, ``"columnar"`` or ``"object"``
-        (default: the ``BSUB_TRACE_BACKEND`` environment variable,
-        falling back to ``columnar``).
     """
 
     def __init__(
@@ -119,16 +108,15 @@ class ContactTrace:
         contacts: Iterable[Contact],
         nodes: Optional[Iterable[int]] = None,
         name: str = "trace",
-        backend: Optional[str] = None,
     ):
-        store = make_contact_store(
-            backend, sorted(contacts, key=lambda c: c.start)
+        store = ColumnarContactStore.from_contacts(
+            sorted(contacts, key=lambda c: c.start)
         )
         self._init_from_store(store, nodes, name)
 
     def _init_from_store(
         self,
-        store: ContactStore,
+        store: ColumnarContactStore,
         nodes: Optional[Iterable[int]],
         name: str,
         check_nodes: bool = True,
@@ -157,7 +145,6 @@ class ContactTrace:
         b: Sequence[int],
         nodes: Optional[Iterable[int]] = None,
         name: str = "trace",
-        backend: Optional[str] = None,
         validate: bool = True,
         assume_sorted: bool = False,
     ) -> "ContactTrace":
@@ -173,7 +160,7 @@ class ContactTrace:
         sort.
         """
         store = store_from_arrays(
-            backend, start, duration, a, b,
+            start, duration, a, b,
             validate=validate, assume_sorted=assume_sorted,
         )
         self = cls.__new__(cls)
@@ -182,7 +169,7 @@ class ContactTrace:
 
     @classmethod
     def _wrap(
-        cls, store: ContactStore, nodes: Tuple[int, ...], name: str
+        cls, store: ColumnarContactStore, nodes: Tuple[int, ...], name: str
     ) -> "ContactTrace":
         """Internal: adopt a derived store without re-validating."""
         self = cls.__new__(cls)
@@ -194,17 +181,12 @@ class ContactTrace:
     # -- basic accessors ------------------------------------------------------
 
     @property
-    def backend(self) -> str:
-        """The storage backend in use (``"object"`` or ``"columnar"``)."""
-        return self._store.backend
-
-    @property
     def contacts(self) -> Sequence[Contact]:
         return self._store
 
     @property
-    def store(self) -> ContactStore:
-        """The raw storage backend (columns for bulk consumers)."""
+    def store(self) -> ColumnarContactStore:
+        """The raw contact store (columns for bulk consumers)."""
         return self._store
 
     @property

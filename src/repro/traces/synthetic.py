@@ -373,7 +373,7 @@ def generate_city_trace(
 ) -> ContactTrace:
     """Stream a city-scale trace to the dataset directory at *path*.
 
-    Returns the generated trace opened on the ``mmap`` backend, so the
+    Returns the generated trace memory-mapped from *path*, so the
     call is usable exactly like :func:`generate_trace` but never holds
     more than one hour window (capped at *max_window_rows* rows) of
     contacts in memory.  Deterministic per seed.

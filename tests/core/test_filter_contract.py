@@ -26,7 +26,7 @@ from repro.pubsub.adaptive import AdaptiveDecayConfig, AdaptiveDecayController
 #: The conformance matrix — deliberately spelled out so that adding a
 #: backend to the registry without thinking about conformance fails
 #: the covers-registry test below rather than silently skipping it.
-CONFORMANCE_MATRIX = ("dict", "array", "multi", "retouched", "countbf")
+CONFORMANCE_MATRIX = ("array", "multi", "retouched", "countbf")
 
 GEOM = dict(num_bits=256, num_hashes=4, seed=0x5B5B)
 INITIAL = 50.0

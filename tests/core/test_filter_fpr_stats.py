@@ -19,7 +19,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import HashFamily, TemporalCountingBloomFilter, analysis
+from repro.core import (
+    HashFamily,
+    TemporalCountingBloomFilter,
+    analysis,
+    make_relay_filter,
+)
 from repro.core.allocation import TCBFCollection, plan_allocation
 from repro.core.countbf import CountBF2D
 from repro.core.retouched import RetouchedTCBF, plan_retouch
@@ -55,10 +60,10 @@ def test_universe_is_the_38_key_table_ii_workload():
     assert not set(PROBES) & set(UNIVERSE)
 
 
-@pytest.mark.parametrize("backend", ["dict", "array"])
-def test_tcbf_fpr_matches_eq1(backend):
-    """Measured TCBF FPR sits inside the Eq. 1 binomial window."""
-    filt = TemporalCountingBloomFilter(family=FAMILY, backend=backend)
+@pytest.mark.parametrize("spec", ["array"])
+def test_tcbf_fpr_matches_eq1(spec):
+    """Measured single-TCBF FPR sits inside the Eq. 1 binomial window."""
+    filt = make_relay_filter(spec, family=FAMILY)
     filt.insert_batch(UNIVERSE)
 
     observed_fill = filt.fill_ratio()
@@ -80,16 +85,6 @@ def test_tcbf_fpr_matches_eq1(backend):
         len(UNIVERSE), NUM_BITS, NUM_HASHES, exact=True
     )
     assert measured / NUM_PROBES == pytest.approx(analytic, rel=0.35)
-
-
-def test_dict_and_array_backends_report_identical_fp_sets():
-    """Backend choice is an implementation detail: same FPs, bit for bit."""
-    filts = {}
-    for backend in ("dict", "array"):
-        filt = TemporalCountingBloomFilter(family=FAMILY, backend=backend)
-        filt.insert_batch(UNIVERSE)
-        filts[backend] = np.asarray(filt.query_batch(PROBES), dtype=bool)
-    np.testing.assert_array_equal(filts["dict"], filts["array"])
 
 
 def test_multi_filter_joint_fpr_matches_eq7():
@@ -161,7 +156,7 @@ def test_countbf_fpr_matches_grid_occupancy_model():
 
 def test_retouched_strictly_reduces_measured_fpr():
     """Lineage-planned retouching lowers the measured FPR, no hidden FNs."""
-    baseline = TemporalCountingBloomFilter(family=FAMILY, backend="array")
+    baseline = TemporalCountingBloomFilter(family=FAMILY)
     baseline.insert_batch(UNIVERSE)
     baseline_hits = np.asarray(baseline.query_batch(PROBES), dtype=bool)
     fp_probes = [p for p, hit in zip(PROBES, baseline_hits) if hit]

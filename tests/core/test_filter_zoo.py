@@ -33,7 +33,6 @@ class TestRegistry:
 
     def test_factories_build_expected_types(self):
         expected = {
-            "dict": TemporalCountingBloomFilter,
             "array": TemporalCountingBloomFilter,
             "multi": TCBFCollection,
             "retouched": RetouchedTCBF,

@@ -12,9 +12,23 @@ import pytest
 from repro.dtn import MessageEvent, PassiveProtocol, Simulation
 from repro.dtn.simulator import SimulationReport
 from repro.obs import Observability
-from repro.traces import ContactTrace, haggle_like
-from repro.traces.backends import TRACE_BACKENDS
+from repro.traces import (
+    ContactTrace,
+    haggle_like,
+    open_trace_dataset,
+    save_trace_dataset,
+)
 from repro.traces.model import Contact
+
+#: Where a replica's contacts live: built in memory, or opened from a
+#: dataset on disk (memory-mapped).
+STORES = ("columnar", "mmap")
+
+
+def _replica(trace, store, tmp_path):
+    if store == "columnar":
+        return trace
+    return open_trace_dataset(save_trace_dataset(trace, tmp_path / "ds"))
 
 
 class _PassiveViaGeneralLoop(PassiveProtocol):
@@ -45,10 +59,10 @@ def trace():
     return haggle_like(scale=0.01, seed=11)
 
 
-@pytest.mark.parametrize("backend", TRACE_BACKENDS)
+@pytest.mark.parametrize("store", STORES)
 @pytest.mark.parametrize("rate_bps", [None, 64.0, 2.1e6 / 8])
-def test_fast_path_matches_general_loop(trace, backend, rate_bps):
-    replica = ContactTrace(list(trace), name=trace.name, backend=backend)
+def test_fast_path_matches_general_loop(trace, store, rate_bps, tmp_path):
+    replica = _replica(trace, store, tmp_path)
     fast = Simulation(replica, PassiveProtocol(), rate_bps=rate_bps).run()
     slow = Simulation(
         replica, _PassiveViaGeneralLoop(), rate_bps=rate_bps
@@ -56,9 +70,9 @@ def test_fast_path_matches_general_loop(trace, backend, rate_bps):
     _reports_equal(fast, slow)
 
 
-@pytest.mark.parametrize("backend", TRACE_BACKENDS)
-def test_empty_trace(backend):
-    empty = ContactTrace([], nodes=range(4), backend=backend)
+@pytest.mark.parametrize("store", STORES)
+def test_empty_trace(store, tmp_path):
+    empty = _replica(ContactTrace([], nodes=range(4)), store, tmp_path)
     fast = Simulation(empty, PassiveProtocol()).run()
     slow = Simulation(empty, _PassiveViaGeneralLoop()).run()
     _reports_equal(fast, slow)

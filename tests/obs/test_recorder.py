@@ -1,5 +1,6 @@
 """Unit tests for :mod:`repro.obs.recorder`."""
 
+import gc
 import io
 import json
 
@@ -72,12 +73,26 @@ class TestTraceRecorder:
 
     def test_streaming_sink_matches_buffered_encoding(self):
         # A sink receives the schema meta header up front, then the
-        # same event bytes that to_jsonl() would buffer.
+        # same event bytes that a buffering recorder's to_jsonl() holds.
         sink = io.StringIO()
-        rec = TraceRecorder(sink=sink)
+        rec, buffered = TraceRecorder(sink=sink), TraceRecorder()
+        for r in (rec, buffered):
+            r.emit("contact", t=1.0, a=0, b=1)
+            r.emit("decay_tick", t=5.0, node=0, dt=4.0)
+        assert sink.getvalue() == trace_meta_line() + "\n" + buffered.to_jsonl()
+        assert len(rec) == len(buffered) == 2
+        assert rec.counts() == buffered.counts()
+
+    def test_streaming_sink_keeps_no_event_list(self):
+        rec = TraceRecorder(sink=io.StringIO())
         rec.emit("contact", t=1.0, a=0, b=1)
-        rec.emit("decay_tick", t=5.0, node=0, dt=4.0)
-        assert sink.getvalue() == trace_meta_line() + "\n" + rec.to_jsonl()
+        assert rec.events is None
+        for method in (rec.to_jsonl, rec.digest, lambda: rec.events_of("contact")):
+            with pytest.raises(RuntimeError, match="sink"):
+                method()
+        with pytest.raises(RuntimeError, match="sink"):
+            rec.write_jsonl("/nonexistent/never-written.jsonl")
+
 
     def test_digest_depends_on_content(self):
         a, b = TraceRecorder(), TraceRecorder()
@@ -101,6 +116,41 @@ class TestTraceRecorder:
         for line in rec.to_jsonl().splitlines():
             record = json.loads(line)
             assert record["type"] in EVENT_TYPES
+
+
+class _CountingSink:
+    """A write-only sink that keeps nothing but a byte count."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text)
+
+
+class TestBoundedMemory:
+    def test_sink_mode_memory_flat_over_150k_events(self):
+        # A traced long-running daemon streams every event to its file;
+        # the recorder itself must hold O(1) state, not O(events).
+        # Buffered, each event would leave a TraceEvent and its fields
+        # dict alive; the live-object count must stay flat instead.
+        sink = _CountingSink()
+        rec = TraceRecorder(sink=sink)
+        rec.emit("create", t=0.0, msg=-1, node=0, ttl=10.0, num_intended=1)
+        gc.collect()
+        before = len(gc.get_objects())
+        for i in range(50_000):
+            t = float(i)
+            rec.emit("create", t=t, msg=i, node=0, ttl=10.0, num_intended=1)
+            rec.emit("forward", t=t + 0.4, msg=i, kind="direct", src=0, dst=1)
+            rec.emit("delivery", t=t + 0.5, msg=i, node=1, intended=True)
+        gc.collect()
+        assert len(gc.get_objects()) - before < 1_000
+        assert len(rec) == 150_001
+        counts = rec.counts()
+        assert counts["create"] == 50_001
+        assert counts["forward"] == counts["delivery"] == 50_000
+        assert sink.bytes > 150_000 * 40
 
 
 class TestTraceFiles:

@@ -74,7 +74,6 @@ class TestRelayConstruction:
         "spec, relay_type",
         [
             ("array", "TemporalCountingBloomFilter"),
-            ("dict", "TemporalCountingBloomFilter"),
             ("multi:keys=16,mem=512", "TCBFCollection"),
             ("retouched:clear=3+17", "RetouchedTCBF"),
             ("countbf", "CountBF2D"),

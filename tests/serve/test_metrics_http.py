@@ -10,6 +10,9 @@ end over real sockets.
 import asyncio
 import json
 
+import pytest
+
+from repro.obs.recorder import NULL_RECORDER
 from repro.obs.registry import MetricsRegistry
 from repro.serve import (
     BrokerFleet,
@@ -132,17 +135,15 @@ class TestLiveBroker:
         assert summary["live_parity_ok"] is True
         assert summary["live"]["totals"]["messages_created"] > 0
 
-    def test_live_without_trace_recorder_is_inert(self):
-        async def main():
-            spec = ServeSpec(port=0, idle_timeout_s=30.0, live=True)
-            server = BrokerServer(spec)
-            await server.start()
-            try:
-                return server.tailer
-            finally:
-                await server.stop()
-
-        assert asyncio.run(main()) is None
+    def test_live_without_trace_recorder_is_rejected(self, tmp_path):
+        # A live broker handed a recorder it cannot tail must refuse to
+        # start rather than serve without its tailer.
+        spec = ServeSpec(
+            port=0, idle_timeout_s=30.0,
+            trace_path=str(tmp_path / "t.jsonl"), live=True,
+        )
+        with pytest.raises(ValueError, match="TraceRecorder"):
+            BrokerServer(spec, recorder=NULL_RECORDER)
 
 
 class TestFleetRouting:

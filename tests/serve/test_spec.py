@@ -82,6 +82,19 @@ class TestServeSpecValidation:
         with pytest.raises(TypeError, match="FaultSpec"):
             ServeSpec(faults="loss=0.1")
 
+    def test_live_needs_a_trace_path(self):
+        # The live tailer reads the broker's trace stream: a live spec
+        # with nothing to tail is rejected, never silently inert.
+        with pytest.raises(ValueError, match="trace_path"):
+            ServeSpec(live=True)
+        with pytest.raises(ValueError, match="trace_path"):
+            ServeSpec.parse("port=0,live=true")
+        with pytest.raises(ValueError, match="trace_path"):
+            ServeSpec().with_live(True)
+        with pytest.raises(ValueError, match="trace_path"):
+            ServeSpec(trace_path="t.jsonl", live=True).with_trace(None)
+        assert ServeSpec().with_trace("t.jsonl").with_live(True).live
+
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ServeSpec().port = 9

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main, resolve_trace
+from repro.traces.stores import MmapContactStore
 
 
 class TestResolveTrace:
@@ -33,12 +34,8 @@ class TestResolveTrace:
         original = haggle_like(scale=0.01, seed=1)
         save_trace_dataset(original, tmp_path / "ds")
         opened = resolve_trace(f"dataset:{tmp_path / 'ds'}", 1.0, 0)
-        assert opened.backend == "mmap"
+        assert type(opened.store) is MmapContactStore
         assert opened.num_contacts == original.num_contacts
-        columnar = resolve_trace(
-            f"dataset:{tmp_path / 'ds'}", 1.0, 0, backend="columnar"
-        )
-        assert columnar.backend == "columnar"
 
 
 class TestCommands:
@@ -154,6 +151,22 @@ class TestOutOfCoreCommands:
             ]
 
         assert facts(serial) == facts(sharded)
+
+    def test_passive_stdout_is_byte_identical_across_shards(
+        self, dataset, capsys
+    ):
+        # Timing rows go to stderr in their own table, so stdout holds
+        # only the replay's facts and is byte-identical for any shard
+        # count and machine speed.
+        main(["run", "--trace", f"dataset:{dataset}",
+              "--protocol", "PASSIVE"])
+        serial = capsys.readouterr()
+        main(["run", "--trace", f"dataset:{dataset}",
+              "--protocol", "PASSIVE", "--shards", "5"])
+        sharded = capsys.readouterr()
+        assert serial.out == sharded.out
+        assert "wall-clock" not in serial.out
+        assert "contacts/s" in serial.err and "Replay timing" in serial.err
 
     def test_passive_rejects_observability_flags(self, dataset, tmp_path):
         with pytest.raises(SystemExit, match="--trace-out"):

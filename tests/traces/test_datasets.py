@@ -19,7 +19,7 @@ from repro.traces import (
     open_trace_dataset,
     save_trace_dataset,
 )
-from repro.traces.backends import TRACE_BACKENDS, TRACE_COLUMN_NAMES
+from repro.traces.stores import TRACE_COLUMN_NAMES, MmapContactStore
 from repro.traces.loaders import TRACE_DATASET_META
 from repro.traces.model import Contact
 from repro.traces.synthetic import CityTraceConfig, generate_city_trace
@@ -90,12 +90,17 @@ class TestDatasetRoundTrip:
     def reference(self):
         return haggle_like(scale=0.02, seed=3)
 
-    @pytest.mark.parametrize("backend", TRACE_BACKENDS)
-    def test_save_open_identity(self, tmp_path, reference, backend):
+    @pytest.mark.parametrize("source", ["columnar", "mmap"])
+    def test_save_open_identity(self, tmp_path, reference, source):
+        # Saving works from either store: an in-memory trace, or one
+        # that was itself opened from a dataset.
+        if source == "mmap":
+            save_trace_dataset(reference, tmp_path / "first")
+            reference = open_trace_dataset(tmp_path / "first")
         path = tmp_path / "ds"
         save_trace_dataset(reference, path, chunk_size=501)
-        reopened = open_trace_dataset(path, backend=backend)
-        assert reopened.backend == backend
+        reopened = open_trace_dataset(path)
+        assert type(reopened.store) is MmapContactStore
         assert reopened.num_contacts == reference.num_contacts
         assert reopened.nodes == reference.nodes
         assert list(reopened) == list(reference)

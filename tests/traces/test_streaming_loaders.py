@@ -8,7 +8,7 @@ rows, empty files, comments) must produce a well-formed trace.
 
 import pytest
 
-from repro.traces.backends import TRACE_BACKENDS
+from repro.traces.stores import ColumnarContactStore
 from repro.traces.loaders import load_csv_trace, load_whitespace_trace
 
 
@@ -87,12 +87,11 @@ class TestOddButLegalInput:
         assert trace.contacts[0].start == 100.0
         assert trace.contacts[0].duration == 1.0
 
-    @pytest.mark.parametrize("backend", TRACE_BACKENDS)
-    def test_backend_argument_respected(self, tmp_path, backend):
+    def test_loaded_trace_is_in_memory_columnar(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("n1,n2,0,10\n")
-        trace = load_csv_trace(path, backend=backend)
-        assert trace.backend == backend
+        trace = load_csv_trace(path)
+        assert type(trace.store) is ColumnarContactStore
         assert trace.contacts[0].duration == 10.0
 
     def test_large_stream_round_trip(self, tmp_path):

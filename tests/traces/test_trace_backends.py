@@ -1,27 +1,32 @@
-"""Property tests: the object, columnar, and mmap backends are equal.
+"""Property tests: an in-memory trace equals its dataset-opened twin.
 
-The columnar and mmap backends are pure storage swaps — same contacts,
-same order, same derived views — so after any construction and any
-sequence of trace transforms all three must agree exactly.  Hypothesis
-generates random contact sets and drives the backends in lockstep; a
-final test replays all of them through the simulator and compares the
-reports.
+A trace built in memory is columnar; the same trace saved as a dataset
+and opened again is memory-mapped.  The mmap store is a pure storage
+swap — same contacts, same order, same derived views — so after any
+construction and any sequence of trace transforms the twins must agree
+exactly.  Hypothesis generates random contact sets and drives the twins
+in lockstep; a final test replays both through the simulator and
+compares the reports.
 """
+
+import math
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ExperimentSpec, run
 from repro.dtn import PassiveProtocol, Simulation
-from repro.traces import ContactTrace
-from repro.traces.backends import (
-    TRACE_BACKEND_ENV_VAR,
-    TRACE_BACKENDS,
-    default_trace_backend,
-    resolve_trace_backend,
+from repro.traces import (
+    ContactTrace,
+    haggle_like,
+    open_trace_dataset,
+    save_trace_dataset,
 )
 from repro.traces.model import Contact
+from repro.traces.stores import ColumnarContactStore, MmapContactStore
 
 contact_st = st.builds(
     Contact.make,
@@ -34,12 +39,19 @@ contact_st = st.builds(
 contacts_st = st.lists(contact_st, min_size=0, max_size=40)
 
 
+def _mmap_twin(trace):
+    """*trace* saved as a dataset and opened again (memory-mapped).
+
+    The directory is removed at once; the open mapping stays readable.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        return open_trace_dataset(save_trace_dataset(trace, tmp))
+
+
 def _twins(contacts):
-    """One trace per backend, in TRACE_BACKENDS order."""
-    return tuple(
-        ContactTrace(contacts, name="twin", backend=backend)
-        for backend in TRACE_BACKENDS
-    )
+    """(in-memory columnar trace, its dataset-opened mmap twin)."""
+    col = ContactTrace(contacts, name="twin")
+    return col, _mmap_twin(col)
 
 
 def _assert_traces_agree(obj, *others):
@@ -51,44 +63,20 @@ def _assert_traces_agree(obj, *others):
         assert list(obj) == list(other)
 
 
-class TestBackendSelection:
-    def test_registry(self):
-        assert set(TRACE_BACKENDS) == {"object", "columnar", "mmap"}
-
-    def test_default_is_columnar(self, monkeypatch):
-        monkeypatch.delenv(TRACE_BACKEND_ENV_VAR, raising=False)
-        assert default_trace_backend() == "columnar"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(TRACE_BACKEND_ENV_VAR, "object")
-        assert default_trace_backend() == "object"
-        assert ContactTrace([]).backend == "object"
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(TRACE_BACKEND_ENV_VAR, "sqlite")
-        with pytest.raises(ValueError, match="sqlite"):
-            default_trace_backend()
-
-    def test_bad_explicit_backend_rejected(self):
-        with pytest.raises(ValueError, match="parquet"):
-            resolve_trace_backend("parquet")
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(TRACE_BACKEND_ENV_VAR, "object")
-        assert ContactTrace([], backend="columnar").backend == "columnar"
-
-
 class TestEquivalence:
     @given(contacts=contacts_st)
     @settings(max_examples=60, deadline=None)
     def test_same_contacts_and_metadata(self, contacts):
-        obj, col, mm = _twins(contacts)
-        _assert_traces_agree(obj, col, mm)
+        col, mm = _twins(contacts)
+        assert type(col.store) is ColumnarContactStore
+        assert type(mm.store) is MmapContactStore
+        _assert_traces_agree(col, mm)
+        assert list(col) == sorted(contacts, key=lambda c: c.start)
 
     @given(contacts=contacts_st)
     @settings(max_examples=60, deadline=None)
     def test_materialised_rows_are_plain_contacts(self, contacts):
-        _, col, mm = _twins(contacts)
+        col, mm = _twins(contacts)
         for trace in (col, mm):
             for contact in trace:
                 assert type(contact) is Contact
@@ -104,14 +92,9 @@ class TestEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_slices_agree(self, contacts, lo, span):
-        obj, col, mm = _twins(contacts)
-        _assert_traces_agree(
-            obj.slice(lo, lo + span),
-            col.slice(lo, lo + span),
-            mm.slice(lo, lo + span),
-        )
-        _assert_traces_agree(obj.first_days(span / 86_400.0),
-                             col.first_days(span / 86_400.0),
+        col, mm = _twins(contacts)
+        _assert_traces_agree(col.slice(lo, lo + span), mm.slice(lo, lo + span))
+        _assert_traces_agree(col.first_days(span / 86_400.0),
                              mm.first_days(span / 86_400.0))
 
     @given(
@@ -120,22 +103,23 @@ class TestEquivalence:
     )
     @settings(max_examples=40, deadline=None)
     def test_shift_and_indexing_agree(self, contacts, offset):
-        obj, col, mm = _twins(contacts)
-        _assert_traces_agree(
-            obj.shifted(offset), col.shifted(offset), mm.shifted(offset)
-        )
-        for i in range(-len(obj.contacts), len(obj.contacts)):
-            assert obj.contacts[i] == col.contacts[i]
-            assert obj.contacts[i] == mm.contacts[i]
+        col, mm = _twins(contacts)
+        _assert_traces_agree(col.shifted(offset), mm.shifted(offset))
+        ordered = sorted(contacts, key=lambda c: c.start)
+        for i in range(-len(ordered), len(ordered)):
+            assert col.contacts[i] == ordered[i]
+            assert mm.contacts[i] == ordered[i]
 
     @given(contacts=contacts_st, node=st.integers(0, 23))
     @settings(max_examples=60, deadline=None)
     def test_per_node_views_agree(self, contacts, node):
-        obj, col, mm = _twins(contacts)
-        for other in (col, mm):
-            assert obj.contacts_of(node) == other.contacts_of(node)
-            assert obj.neighbours(node) == other.neighbours(node)
-            assert obj.pair_contact_counts() == other.pair_contact_counts()
+        col, mm = _twins(contacts)
+        mine = [c for c in contacts if c.involves(node)]
+        assert col.contacts_of(node) == mm.contacts_of(node)
+        assert sorted(col.contacts_of(node)) == sorted(mine)
+        assert col.neighbours(node) == mm.neighbours(node)
+        assert col.neighbours(node) == {c.peer_of(node) for c in mine}
+        assert col.pair_contact_counts() == mm.pair_contact_counts()
 
     @given(contacts=contacts_st)
     @settings(max_examples=30, deadline=None)
@@ -145,32 +129,52 @@ class TestEquivalence:
         duration = np.array([c.duration for c in ordered])
         a = np.array([c.a for c in ordered], dtype=np.int64)
         b = np.array([c.b for c in ordered], dtype=np.int64)
-        for backend in TRACE_BACKENDS:
-            built = ContactTrace.from_arrays(
-                start, duration, a, b, backend=backend
-            )
-            assert list(built) == ordered
+        built = ContactTrace.from_arrays(start, duration, a, b)
+        assert list(built) == ordered
+        assert list(_mmap_twin(built)) == ordered
 
     @given(contacts=contacts_st)
     @settings(max_examples=20, deadline=None)
     def test_simulation_reports_agree(self, contacts):
-        traces = _twins(contacts)
-        reports = [
-            Simulation(trace, PassiveProtocol()).run() for trace in traces
-        ]
-        first = reports[0]
-        for second in reports[1:]:
-            assert first.num_contacts == second.num_contacts
-            assert first.end_time == second.end_time
-            assert first.channels_exhausted == second.channels_exhausted
-            assert dict(first.contacts_by_node) == dict(
-                second.contacts_by_node
+        # Both replay paths: the passive fast path and the general
+        # per-contact loop (a handler-free protocol not flagged passive).
+        for protocol_cls in (PassiveProtocol, _GeneralLoopPassive):
+            col, mm = (
+                Simulation(trace, protocol_cls()).run()
+                for trace in _twins(contacts)
             )
-            assert first.bytes_transferred == second.bytes_transferred
+            assert col.num_contacts == mm.num_contacts
+            assert col.end_time == mm.end_time
+            assert col.channels_exhausted == mm.channels_exhausted
+            assert dict(col.contacts_by_node) == dict(mm.contacts_by_node)
+            assert col.bytes_transferred == mm.bytes_transferred
+
+    def test_bsub_run_agrees(self):
+        """A full B-SUB run replays identically from the mmap twin."""
+        col = haggle_like(scale=0.01, seed=3).first_days(1.0)
+        mm = _mmap_twin(col)
+        spec = ExperimentSpec(
+            protocol="B-SUB", ttl_min=120.0, num_bits=32, num_hashes=2
+        )
+        first, second = run(col, spec), run(mm, spec)
+        assert first.engine.num_contacts == col.num_contacts
+        assert first.engine.bytes_transferred == second.engine.bytes_transferred
+        assert _summary_key(first.summary) == _summary_key(second.summary)
+
+
+class _GeneralLoopPassive(PassiveProtocol):
+    passive = False
+
+
+def _summary_key(summary):
+    return [
+        (name, "nan" if isinstance(v, float) and math.isnan(v) else v)
+        for name, v in sorted(vars(summary).items())
+    ]
 
 
 class TestBoundarySemantics:
-    """slice/upto boundary rules, pinned identically for every backend.
+    """slice/upto boundary rules, pinned identically for both stores.
 
     A contact sits in ``slice(t0, t1)`` iff ``t0 <= start < t1`` — the
     *end* of the window is exclusive and a contact whose start equals
@@ -185,11 +189,10 @@ class TestBoundarySemantics:
         Contact.make(start=20.0, duration=5.0, a=3, b=4),
     ]
 
-    @pytest.fixture(params=TRACE_BACKENDS)
+    @pytest.fixture(params=["columnar", "mmap"])
     def trace(self, request):
-        return ContactTrace(
-            self.CONTACTS, name="boundary", backend=request.param
-        )
+        trace = ContactTrace(self.CONTACTS, name="boundary")
+        return trace if request.param == "columnar" else _mmap_twin(trace)
 
     def test_start_boundary_inclusive(self, trace):
         window = trace.slice(10.0, 20.0)
